@@ -21,9 +21,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{Criterion, Throughput};
+use instameasure_core::engine::{Engine, EngineConfig};
 use instameasure_core::InstaMeasureConfig;
 use instameasure_packet::{FlowKey, PacketRecord, Protocol};
-use instameasure_service::engine::{Engine, EngineConfig};
 use instameasure_sketch::SketchConfig;
 use instameasure_telemetry::SharedRegistry;
 use instameasure_wsaf::WsafConfig;

@@ -1,30 +1,31 @@
-//! The live measurement engine behind the daemon: thread-per-shard
-//! ownership, lock-free ingest, snapshot queries.
+//! The shard runtime of paper Fig. 5: thread-per-shard ownership,
+//! lock-free ingest, snapshot queries.
 //!
-//! The offline pipeline ([`instameasure_core::multicore`]) runs one
-//! manager over one finite iterator and tears everything down at
-//! end-of-stream. A daemon has neither: ingest arrives on many
-//! connections, queries arrive while packets flow, and the stream only
-//! ends when an operator says so. Earlier revisions kept each shard's
-//! [`InstaMeasure`] behind a mutex locked per batch; this engine removes
-//! that lock from the hot path entirely:
+//! One runtime serves both deployments. The live daemon boots an
+//! [`Engine`] and feeds it from many connections while queries run; the
+//! offline pipeline ([`crate::multicore::run_multicore_stream`]) boots the
+//! same engine, feeds one lane from its iterator, drains it and takes the
+//! shards' final states back from the worker threads. Each shard's
+//! [`InstaMeasure`] is owned by exactly one worker thread, so no lock
+//! sits on the hot path:
 //!
 //! * **Thread-per-shard ownership.** Each shard's sketch state is a plain
 //!   (unshared) [`InstaMeasure`] owned by one worker thread, optionally
 //!   pinned to a CPU ([`EngineConfig::pin`]) so megabytes of regulator
-//!   and WSAF arrays stay cache-resident. Flow→shard routing is the same
-//!   popcount rule as the offline pipeline ([`worker_for`]), so all
-//!   packets of a flow still meet one shard.
-//! * **SPSC ring ingest.** Each [`IngestLane`] (one per connection) holds
-//!   a bounded [`crate::ring`] pair per shard: a forward ring carrying
-//!   filled batches and a return ring carrying drained buffers back, the
-//!   same recycling discipline as the offline manager, so the steady
-//!   state allocates nothing and neither enqueue nor drain takes a lock.
-//!   A full ring spins the pusher (counted in `service.ring.full_stalls`)
-//!   — the backpressure that ultimately closes the remote tap's TCP
-//!   window. Workers discover new lanes through a mailbox guarded by a
-//!   mutex plus a generation counter, so the per-batch path costs one
-//!   relaxed atomic load, not a lock.
+//!   and WSAF arrays stay cache-resident. Flow→shard routing is the
+//!   paper's popcount rule ([`worker_for`]), so all packets of a flow
+//!   meet one shard.
+//! * **SPSC ring ingest.** Each [`IngestLane`] (one per connection, or
+//!   one per offline run) holds a bounded [`crate::ring`] pair per shard:
+//!   a forward ring carrying filled batches and a return ring carrying
+//!   drained buffers back, so the steady state allocates nothing and
+//!   neither enqueue nor drain takes a lock. A full ring spins the pusher
+//!   (counted in `service.ring.full_stalls`) — the backpressure that
+//!   ultimately closes the remote tap's TCP window — unless the lane is
+//!   lossy ([`BackpressurePolicy::Drop`]), which drops the batch and
+//!   counts its packets instead. Workers discover new lanes through a
+//!   mailbox guarded by a mutex plus a generation counter, so the
+//!   per-batch path costs one relaxed atomic load, not a lock.
 //! * **Epoch-stamped snapshot queries.** Queries never touch live shard
 //!   state. The worker publishes an immutable clone of its pipeline into
 //!   a [`crate::snapshot::SnapshotSlot`] on demand (a reader asks, the
@@ -44,21 +45,20 @@
 //!   is idempotent; concurrent calls all return the first report.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use instameasure_core::multicore::{worker_for, MAX_BATCH_SIZE};
-use instameasure_core::{InstaMeasure, InstaMeasureConfig};
 use instameasure_packet::{FlowKey, PacketRecord};
 use instameasure_telemetry::{
-    AtomicCell, Counter, Histogram, Instrumented, SharedRegistry, Snapshot,
+    AtomicCell, Counter, Histogram, Instrumented, LogHistogram, SharedRegistry, Snapshot,
 };
 
 use crate::affinity;
+use crate::multicore::{worker_for, BackpressurePolicy, MAX_BATCH_SIZE};
 use crate::ring::{ring, PushError, RingConsumer, RingProducer};
-use crate::snapshot::{SnapshotSlot, Stamped};
-use crate::wire::TopFlow;
+use crate::snapshot::{SnapshotRef, SnapshotSlot};
+use crate::{InstaMeasure, InstaMeasureConfig};
 
 /// Batches a worker drains from one lane before giving others a turn.
 const DRAIN_QUANTUM: usize = 8;
@@ -75,13 +75,13 @@ const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 /// scheduler noise into wrong answers.
 const SNAPSHOT_PATIENCE: Duration = Duration::from_secs(2);
 
-/// Geometry of the live engine.
+/// Geometry of the shard runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Worker shard count.
     pub workers: usize,
-    /// Packets per dispatch batch (same economics as the offline
-    /// pipeline's [`instameasure_core::multicore::MultiCoreConfig::batch_size`]).
+    /// Packets per dispatch batch (see
+    /// [`crate::multicore::MultiCoreConfig::batch_size`]).
     pub batch_size: usize,
     /// Per-shard ring capacity in whole batches.
     pub queue_batches: usize,
@@ -130,6 +130,36 @@ pub struct DrainReport {
     pub per_worker: Vec<u64>,
 }
 
+/// One merged heavy-hitter entry of a top-K answer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TopFlow {
+    /// The flow.
+    pub key: FlowKey,
+    /// Estimated packets.
+    pub packets: f64,
+    /// Estimated bytes.
+    pub bytes: f64,
+}
+
+/// The global top-`k` flows by packets across shards: each shard's WSAF
+/// top-`k`, merged by packets descending, ties broken by key so the
+/// answer does not depend on shard order. Offline
+/// ([`crate::multicore::MultiCoreSystem::top_k_by_packets`]) and live
+/// ([`Engine::top_k`]) rankings both come from here.
+pub fn merge_top_k<'a>(
+    shards: impl IntoIterator<Item = &'a InstaMeasure>,
+    k: usize,
+) -> Vec<TopFlow> {
+    let mut all: Vec<TopFlow> = shards
+        .into_iter()
+        .flat_map(|im| im.wsaf().top_k_by_packets(k))
+        .map(|e| TopFlow { key: e.key, packets: e.packets, bytes: e.bytes })
+        .collect();
+    all.sort_by(|a, b| b.packets.total_cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
+    all.truncate(k);
+    all
+}
+
 /// A published point-in-time view of one shard.
 #[derive(Debug)]
 struct ShardView {
@@ -140,8 +170,15 @@ struct ShardView {
     /// reset, then the fresh state stamped with the new one — so merged
     /// queries can demand one epoch across all shards.
     epoch: u64,
-    /// Clone of the shard pipeline at a batch boundary.
-    im: InstaMeasure,
+    /// Clone of the shard pipeline at a batch boundary; `None` only in the
+    /// initial view of a batch-mode shard, which nothing queries.
+    im: Option<InstaMeasure>,
+}
+
+impl ShardView {
+    fn im(&self) -> &InstaMeasure {
+        self.im.as_ref().expect("batch-mode shards are never queried")
+    }
 }
 
 /// Worker-side endpoints of one lane's ring pair.
@@ -220,6 +257,10 @@ struct Shard {
     flows_resident: AtomicU64,
     /// Test hook: nanoseconds the worker dawdles per batch.
     worker_stall: AtomicU64,
+    /// Batch-mode shard ([`Engine::start_batch`]): nothing queries it and
+    /// its driver takes the final state from the join handle, so it holds
+    /// no initial view and skips the final publication.
+    batch: bool,
     cfg: InstaMeasureConfig,
 }
 
@@ -236,14 +277,14 @@ fn wake(shard: &Shard) {
     }
 }
 
-/// The live measurement engine: shard-owning workers and the lock-free
-/// ingest fabric.
+/// The shard runtime: shard-owning workers and the lock-free ingest
+/// fabric.
 pub struct Engine {
     shards: Vec<Arc<Shard>>,
     batch_size: usize,
     queue_batches: usize,
     open: Arc<AtomicBool>,
-    handles: Mutex<Vec<thread::JoinHandle<u64>>>,
+    handles: Mutex<Vec<thread::JoinHandle<WorkerExit>>>,
     registry: Arc<SharedRegistry>,
     submitted: Counter<AtomicCell>,
     batches: Counter<AtomicCell>,
@@ -255,6 +296,16 @@ pub struct Engine {
     rejected: Counter<AtomicCell>,
     epoch: AtomicU64,
     drained: Mutex<Option<DrainReport>>,
+}
+
+/// What a worker thread returns when it exits.
+pub(crate) struct WorkerExit {
+    /// Packets the worker processed.
+    pub(crate) processed: u64,
+    /// Wall time from the worker's start to its exit.
+    pub(crate) busy_nanos: u64,
+    /// The shard state the worker owned.
+    pub(crate) im: InstaMeasure,
 }
 
 /// Per-worker context moved into the worker thread.
@@ -278,6 +329,17 @@ impl Engine {
     /// validated before they get here).
     #[must_use]
     pub fn start(cfg: &EngineConfig, registry: Arc<SharedRegistry>) -> Self {
+        Self::boot(cfg, registry, false)
+    }
+
+    /// Boots an engine for one finite run that ends in
+    /// [`Engine::into_shards`]: its shards cannot be queried, so they skip
+    /// every snapshot copy of their state.
+    pub(crate) fn start_batch(cfg: &EngineConfig, registry: Arc<SharedRegistry>) -> Self {
+        Self::boot(cfg, registry, true)
+    }
+
+    fn boot(cfg: &EngineConfig, registry: Arc<SharedRegistry>, batch: bool) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(
             cfg.batch_size > 0 && cfg.batch_size <= MAX_BATCH_SIZE,
@@ -301,12 +363,13 @@ impl Engine {
                     slot: SnapshotSlot::new(ShardView {
                         ver: 0,
                         epoch: 0,
-                        im: InstaMeasure::new(cfg.per_worker),
+                        im: (!batch).then(|| InstaMeasure::new(cfg.per_worker)),
                     }),
                     ver: AtomicU64::new(0),
                     snap_requests: AtomicU64::new(0),
                     flows_resident: AtomicU64::new(0),
                     worker_stall: AtomicU64::new(0),
+                    batch,
                     cfg: cfg.per_worker,
                 })
             })
@@ -338,6 +401,10 @@ impl Engine {
         }
 
         let cpus = affinity::available_cpus();
+        // Workers allocate their state in parallel; `start` returns only
+        // once every worker runs, so ingest never outpaces a shard whose
+        // thread is still starting.
+        let live = Arc::new(Barrier::new(cfg.workers + 1));
         let mut handles = Vec::with_capacity(cfg.workers);
         for (w, shard) in shards.iter().enumerate() {
             let ctx = WorkerCtx {
@@ -348,14 +415,20 @@ impl Engine {
                 pinned_ctr: pinned.clone(),
                 pin_cpu: cfg.pin.then_some(w % cpus),
             };
-            let im = InstaMeasure::new(cfg.per_worker);
+            let per_worker = cfg.per_worker;
+            let live = Arc::clone(&live);
             handles.push(
                 thread::Builder::new()
                     .name(format!("im-shard-{w}"))
-                    .spawn(move || worker_loop(&ctx, im))
+                    .spawn(move || {
+                        let im = InstaMeasure::new(per_worker);
+                        live.wait();
+                        worker_loop(&ctx, im)
+                    })
                     .expect("spawning a shard worker thread"),
             );
         }
+        live.wait();
 
         Engine {
             shards,
@@ -381,6 +454,13 @@ impl Engine {
     /// is draining.
     #[must_use]
     pub fn lane(&self) -> Option<IngestLane> {
+        self.lane_with(BackpressurePolicy::Block)
+    }
+
+    /// Opens a lane whose full rings either spin the pusher
+    /// ([`BackpressurePolicy::Block`]) or drop the batch
+    /// ([`BackpressurePolicy::Drop`]); `None` if the engine is draining.
+    pub(crate) fn lane_with(&self, policy: BackpressurePolicy) -> Option<IngestLane> {
         if !self.open.load(Ordering::SeqCst) {
             return None;
         }
@@ -420,6 +500,8 @@ impl Engine {
             ring_occupancy: self.ring_occupancy.clone(),
             ring_stalls: self.ring_stalls.clone(),
             rejected_ctr: self.rejected.clone(),
+            shed: (policy == BackpressurePolicy::Drop)
+                .then(|| Shed { packets: vec![0; workers], batches: LogHistogram::new() }),
         })
     }
 
@@ -455,7 +537,7 @@ impl Engine {
     /// view instead of stalling the query; a shard that has never
     /// published is waited out, never answered with the empty initial
     /// view).
-    fn view(&self, w: usize) -> Arc<Stamped<ShardView>> {
+    fn view(&self, w: usize) -> SnapshotRef<ShardView> {
         let shard = &self.shards[w];
         let want = shard.ver.load(Ordering::Acquire);
         let (view, retries) = shard.slot.read();
@@ -499,27 +581,18 @@ impl Engine {
     #[must_use]
     pub fn estimate(&self, key: &FlowKey) -> (f64, f64) {
         let view = self.view(worker_for(key, self.shards.len()));
-        view.value.im.estimate(key)
+        view.value.im().estimate(key)
     }
 
-    /// Merged top-`k` flows by packets across all shards (WSAF view, the
-    /// same merge the offline CLI prints). The per-shard snapshots are
-    /// epoch-validated *and* mutually epoch-consistent — a merge racing
-    /// a rotation sees either every shard's retiring state or every
-    /// shard's fresh state, never a mix. Ingest never pauses.
+    /// Merged top-`k` flows by packets across all shards ([`merge_top_k`],
+    /// the same merge the offline CLI prints). The per-shard snapshots
+    /// are epoch-validated *and* mutually epoch-consistent — a merge
+    /// racing a rotation sees either every shard's retiring state or
+    /// every shard's fresh state, never a mix. Ingest never pauses.
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<TopFlow> {
-        let mut all: Vec<TopFlow> = Vec::new();
-        for view in self.consistent_views() {
-            all.extend(view.value.im.wsaf().top_k_by_packets(k).into_iter().map(|e| TopFlow {
-                key: e.key,
-                packets: e.packets,
-                bytes: e.bytes,
-            }));
-        }
-        all.sort_by(|a, b| b.packets.total_cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
-        all.truncate(k);
-        all
+        let views = self.consistent_views();
+        merge_top_k(views.iter().map(|v| v.value.im()), k)
     }
 
     /// One epoch-validated snapshot per shard, retried until every view
@@ -529,7 +602,7 @@ impl Engine {
     /// `service.snapshot.epoch_retries`), bounded by the same patience
     /// as single-shard reads — on deadline the freshest mix is served
     /// rather than stalling the caller forever.
-    fn consistent_views(&self) -> Vec<Arc<Stamped<ShardView>>> {
+    fn consistent_views(&self) -> Vec<SnapshotRef<ShardView>> {
         let deadline = Instant::now() + SNAPSHOT_PATIENCE;
         loop {
             let views: Vec<_> = (0..self.shards.len()).map(|w| self.view(w)).collect();
@@ -583,15 +656,15 @@ impl Engine {
             for shard in &self.shards {
                 let (view, retries) = shard.slot.read();
                 self.snap_retries.add(retries);
-                retired += view.value.im.wsaf().len() as u64;
+                retired += view.value.im().wsaf().len() as u64;
                 if want_snapshots {
-                    snapshots.push(view.value.im.clone());
+                    snapshots.push(view.value.im().clone());
                 }
                 let ver = shard.ver.fetch_add(1, Ordering::AcqRel) + 1;
                 shard.slot.publish(ShardView {
                     ver,
                     epoch: new_epoch,
-                    im: InstaMeasure::new(shard.cfg),
+                    im: Some(InstaMeasure::new(shard.cfg)),
                 });
                 shard.flows_resident.store(0, Ordering::Release);
             }
@@ -633,7 +706,7 @@ impl Engine {
     pub fn full_telemetry(&self) -> Snapshot {
         let mut snap = self.registry.snapshot();
         for view in self.consistent_views() {
-            snap.merge(&view.value.im.telemetry());
+            snap.merge(&view.value.im().telemetry());
         }
         snap
     }
@@ -646,9 +719,21 @@ impl Engine {
     /// side — and a lane racing the drain gets [`EngineClosed`] for
     /// anything after.
     pub fn drain(&self) -> DrainReport {
+        self.shutdown().0
+    }
+
+    /// Drains the engine and hands back what each worker owned, indexed by
+    /// shard — the offline driver's exit.
+    pub(crate) fn into_shards(self) -> (DrainReport, Vec<WorkerExit>) {
+        self.shutdown()
+    }
+
+    /// [`Engine::drain`] plus the worker exits, which only the first call
+    /// receives.
+    fn shutdown(&self) -> (DrainReport, Vec<WorkerExit>) {
         let mut drained = lock(&self.drained);
         if let Some(report) = drained.as_ref() {
-            return report.clone();
+            return (report.clone(), Vec::new());
         }
         self.open.store(false, Ordering::SeqCst);
         for shard in &self.shards {
@@ -656,15 +741,16 @@ impl Engine {
             wake(shard);
         }
         let handles: Vec<_> = lock(&self.handles).drain(..).collect();
-        let per_worker: Vec<u64> =
+        let exits: Vec<WorkerExit> =
             handles.into_iter().map(|h| h.join().expect("worker thread must not panic")).collect();
+        let per_worker: Vec<u64> = exits.iter().map(|e| e.processed).collect();
         let report = DrainReport {
             submitted: self.submitted.get(),
             processed: per_worker.iter().sum(),
             per_worker,
         };
         *drained = Some(report.clone());
-        report
+        (report, exits)
     }
 
     /// Test hook: slow every snapshot publication by `nanos` inside the
@@ -713,7 +799,7 @@ impl Engine {
     #[doc(hidden)]
     #[must_use]
     pub fn debug_shard_measurement(&self, w: usize) -> InstaMeasure {
-        self.view(w).value.im.clone()
+        self.view(w).value.im().clone()
     }
 
     /// Test hook: one epoch-consistent merged read, returning the epoch
@@ -726,7 +812,7 @@ impl Engine {
     pub fn debug_consistent_view(&self) -> Vec<(u64, usize)> {
         self.consistent_views()
             .into_iter()
-            .map(|v| (v.value.epoch, v.value.im.wsaf().len()))
+            .map(|v| (v.value.epoch, v.value.im().wsaf().len()))
             .collect()
     }
 }
@@ -748,7 +834,8 @@ impl Instrumented for Engine {
 /// The owning worker: drains its lanes' rings, applies batches to its
 /// private `InstaMeasure`, publishes snapshots on request, and exits only
 /// after the drain handshake has emptied and closed every ring.
-fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> u64 {
+fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> WorkerExit {
+    let started = Instant::now();
     if let Some(cpu) = ctx.pin_cpu {
         if affinity::pin_current_thread(cpu) {
             ctx.pinned_ctr.inc();
@@ -839,10 +926,13 @@ fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> u64 {
             // The last act before `running := false` is publishing the
             // exact end-of-stream state; queries re-read after observing
             // the flag, so post-drain answers are bit-exact.
-            shard.ver.fetch_add(1, Ordering::Release);
-            publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
+            if !shard.batch {
+                shard.ver.fetch_add(1, Ordering::Release);
+                publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
+            }
             shard.running.store(false, Ordering::Release);
-            return processed;
+            let busy_nanos = started.elapsed().as_nanos() as u64;
+            return WorkerExit { processed, busy_nanos, im };
         }
 
         idle_rounds += 1;
@@ -897,7 +987,7 @@ fn publish(
     if ver == *last_pub_ver {
         return;
     }
-    shard.slot.publish(ShardView { ver, epoch, im: im.clone() });
+    shard.slot.publish(ShardView { ver, epoch, im: Some(im.clone()) });
     *last_pub_ver = ver;
     publishes_ctr.inc();
 }
@@ -972,6 +1062,17 @@ pub struct IngestLane {
     ring_occupancy: Histogram<AtomicCell>,
     ring_stalls: Counter<AtomicCell>,
     rejected_ctr: Counter<AtomicCell>,
+    /// `Some` on a lossy lane ([`BackpressurePolicy::Drop`]).
+    shed: Option<Shed>,
+}
+
+/// What a lossy lane dropped at full rings.
+#[derive(Debug)]
+pub(crate) struct Shed {
+    /// Packets dropped, per shard.
+    pub(crate) packets: Vec<u64>,
+    /// Sizes of the dropped batches.
+    pub(crate) batches: LogHistogram,
 }
 
 impl IngestLane {
@@ -984,16 +1085,38 @@ impl IngestLane {
     /// Returns [`EngineClosed`] if the engine drained underneath the
     /// lane; records of the failed call are not counted as accepted.
     pub fn submit(&mut self, records: &[PacketRecord]) -> Result<(), EngineClosed> {
-        let workers = self.ports.len();
         for pkt in records {
-            let w = worker_for(&pkt.key, workers);
-            self.pending[w].push(*pkt);
-            if self.pending[w].len() == self.batch_size {
-                self.ship(w)?;
-            }
+            self.push(*pkt)?;
         }
         self.accepted += records.len() as u64;
         Ok(())
+    }
+
+    /// Routes one record into its shard's buffer, shipping the buffer if
+    /// it fills. Not counted in [`IngestLane::accepted`].
+    #[inline]
+    pub(crate) fn push(&mut self, pkt: PacketRecord) -> Result<(), EngineClosed> {
+        let w = worker_for(&pkt.key, self.ports.len());
+        self.pending[w].push(pkt);
+        if self.pending[w].len() == self.batch_size {
+            self.ship(w)?;
+        }
+        Ok(())
+    }
+
+    /// Batches waiting in this lane's forward rings (racy by nature).
+    pub(crate) fn queued_batches(&self) -> usize {
+        self.ports.iter().map(|p| p.fwd.len()).sum()
+    }
+
+    /// Non-empty partial batches a [`IngestLane::flush`] would ship.
+    pub(crate) fn partial_batches(&self) -> u64 {
+        self.pending.iter().filter(|b| !b.is_empty()).count() as u64
+    }
+
+    /// What this lane dropped so far; `None` unless it is lossy.
+    pub(crate) fn shed(&self) -> Option<&Shed> {
+        self.shed.as_ref()
     }
 
     /// Ships every non-empty partial buffer (end-of-stream flush).
@@ -1044,7 +1167,20 @@ impl IngestLane {
                         .unwrap_or_else(|| Vec::with_capacity(self.batch_size));
                     return Ok(());
                 }
-                Err(PushError::Full(back)) => {
+                Err(PushError::Full(mut back)) => {
+                    if let Some(shed) = self.shed.as_mut() {
+                        // Lossy lane: a mirror-port overrun loses the
+                        // burst, counted packet-exactly; the buffer is
+                        // reused. The yield hands the core to the lagging
+                        // worker, so an oversubscribed host cannot starve
+                        // it into dropping everything.
+                        shed.packets[w] += n;
+                        shed.batches.observe(n);
+                        back.clear();
+                        self.pending[w] = back;
+                        thread::yield_now();
+                        return Ok(());
+                    }
                     if !stalled {
                         self.ring_stalls.inc();
                         stalled = true;

@@ -1,7 +1,7 @@
 //! Epoch-stamped shard snapshots: how queries read a shard that is owned
 //! by exactly one worker thread.
 //!
-//! The worker never shares its live [`instameasure_core::InstaMeasure`];
+//! The worker never shares its live [`crate::InstaMeasure`];
 //! instead it *publishes* — at batch boundaries, on demand — an immutable
 //! view behind a seqlock-style version stamp:
 //!
@@ -50,6 +50,10 @@ pub struct Stamped<T> {
     pub value: T,
 }
 
+/// A validated read: shared ownership of one publication. Spelled as an
+/// alias so callers compile against whichever `Arc` the slot uses.
+pub type SnapshotRef<T> = Arc<Stamped<T>>;
+
 /// One shard's publication slot (see module docs).
 #[derive(Debug)]
 pub struct SnapshotSlot<T> {
@@ -86,7 +90,7 @@ impl<T> SnapshotSlot<T> {
 
     /// Reads a validated view, returning it plus the number of retries
     /// the seqlock validation forced (0 on a quiet slot).
-    pub fn read(&self) -> (Arc<Stamped<T>>, u64) {
+    pub fn read(&self) -> (SnapshotRef<T>, u64) {
         let mut retries = 0u64;
         loop {
             let s1 = self.stamp.load(Ordering::Acquire);

@@ -1,11 +1,11 @@
 //! Model checks for the two concurrency kernels under `--cfg loom`:
-//! the SPSC batch ring ([`instameasure_service::ring`]) and the
-//! epoch-stamped snapshot slot ([`instameasure_service::snapshot`]).
+//! the SPSC batch ring ([`instameasure_core::ring`]) and the
+//! epoch-stamped snapshot slot ([`instameasure_core::snapshot`]).
 //!
 //! Built and run only as
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p instameasure-service --test loom_model --release
+//! RUSTFLAGS="--cfg loom" cargo test -p instameasure-core --test loom_model --release
 //! ```
 //!
 //! which swaps the kernels' atomics and cells for `loom`'s modeled
@@ -16,8 +16,8 @@
 //! assertions hold in all of them.
 #![cfg(loom)]
 
-use instameasure_service::ring::{ring, PushError};
-use instameasure_service::snapshot::SnapshotSlot;
+use instameasure_core::ring::{ring, PushError};
+use instameasure_core::snapshot::SnapshotSlot;
 use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 use loom::thread;

@@ -8,7 +8,6 @@ use core::fmt;
 /// dedicated variants; anything else is preserved verbatim in
 /// [`Protocol::Other`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Protocol {
     /// TCP (IP protocol number 6).
     Tcp,
@@ -76,7 +75,6 @@ impl From<u8> for Protocol {
 /// assert_eq!(FlowKey::from_bytes(k.to_bytes()), k);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowKey {
     /// Source IPv4 address, big-endian byte order.
     pub src_ip: [u8; 4],
@@ -181,7 +179,6 @@ impl fmt::Display for FlowKey {
 /// counter accumulates); `ts_nanos` is the capture timestamp in nanoseconds
 /// since an arbitrary epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketRecord {
     /// The flow this packet belongs to.
     pub key: FlowKey,

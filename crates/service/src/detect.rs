@@ -1,7 +1,7 @@
 //! Streaming anomaly detection wired into the live engine.
 //!
 //! At every epoch rotation the engine already captures the complete
-//! closed epoch per shard ([`crate::engine::Engine::rotate_with_snapshots`]).
+//! closed epoch per shard ([`Engine::rotate_with_snapshots`]).
 //! This module turns those captures into verdicts and pushes them to the
 //! network:
 //!
@@ -33,9 +33,9 @@ use std::time::{Duration, Instant};
 use instameasure_core::detect::{
     Anomaly, DetectorConfig, DetectorSuite, EpochFeatures, ALL_ANOMALY_KINDS,
 };
+use instameasure_core::engine::Engine;
 use instameasure_telemetry::{AtomicCell, Counter, Gauge, Histogram, SharedRegistry};
 
-use crate::engine::Engine;
 use crate::tune::TuneRuntime;
 use crate::wire::{write_frame, Response, SUBSCRIBE_MASK_ALL};
 
@@ -286,8 +286,8 @@ impl core::fmt::Debug for DetectionRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
     use instameasure_core::detect::AnomalyKind;
+    use instameasure_core::engine::EngineConfig;
     use instameasure_core::InstaMeasureConfig;
     use instameasure_packet::{FlowKey, PacketRecord, Protocol};
 

@@ -32,12 +32,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use instameasure_core::engine::{Engine, EngineConfig, IngestLane};
 use instameasure_core::multicore::MAX_BATCH_SIZE;
 use instameasure_core::InstaMeasureConfig;
 use instameasure_telemetry::{AtomicCell, Counter, Histogram, SharedRegistry};
 
 use crate::detect::{DetectionConfig, DetectionRuntime};
-use crate::engine::{Engine, EngineConfig, IngestLane};
 use crate::tune::{TuneRuntime, TuneState};
 use crate::wire::{
     frame_wire_len, read_frame, write_frame, Request, Response, StatusReport, WireError,

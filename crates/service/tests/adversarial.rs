@@ -2,7 +2,6 @@
 //! malformed byte stream an untrusted peer can produce must end in a
 //! classified error (counted in `service.rejects.<class>`) and a closed
 //! connection — with the daemon itself staying alive and queryable.
-#![cfg(not(loom))]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

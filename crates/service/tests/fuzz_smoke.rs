@@ -9,8 +9,7 @@
 //! files for real fuzzing sessions.
 
 // Too slow under Miri; the wire unit tests cover the same code there.
-// Absent under loom: the model-check build compiles only the kernels.
-#![cfg(all(not(miri), not(loom)))]
+#![cfg(not(miri))]
 
 use instameasure_packet::{FlowKey, PacketRecord, Protocol};
 use instameasure_service::fuzzing::{fuzz_frame_stream, fuzz_payloads, fuzz_truncations};

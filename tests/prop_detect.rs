@@ -22,9 +22,9 @@ use std::collections::BTreeSet;
 use instameasure::core::detect::{
     Anomaly, AnomalyKind, DetectorConfig, DetectorSuite, EpochFeatures, Subject,
 };
+use instameasure::core::engine::{Engine, EngineConfig};
 use instameasure::core::{InstaMeasure, InstaMeasureConfig};
 use instameasure::packet::{FlowKey, PacketRecord, Protocol};
-use instameasure::service::engine::{Engine, EngineConfig};
 use instameasure::sketch::{FilterKind, ALL_FILTER_KINDS};
 use instameasure::telemetry::SharedRegistry;
 use instameasure::traffic::adversarial::{horizontal_scan, syn_flood};

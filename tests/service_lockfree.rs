@@ -23,9 +23,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use instameasure::core::engine::{Engine, EngineConfig};
 use instameasure::core::InstaMeasureConfig;
 use instameasure::packet::{FlowKey, PacketRecord, Protocol};
-use instameasure::service::engine::{Engine, EngineConfig};
 use instameasure::sketch::{FilterKind, ALL_FILTER_KINDS};
 use instameasure::telemetry::SharedRegistry;
 use instameasure::traffic::presets::caida_like;
