@@ -126,8 +126,7 @@ const PLAN_HEADER: &str = "instameasure-tune-plan v1";
 
 impl TunePlan {
     /// The front-end filter this plan runs: plain RCC for a single layer,
-    /// the paper's two-layer FlowRegulator otherwise (deeper cascades are
-    /// a planning-model concept; the runtime pipeline caps at two).
+    /// the paper's two-layer FlowRegulator otherwise.
     #[must_use]
     pub fn filter_kind(&self) -> FilterKind {
         if self.layers == 1 {
@@ -437,7 +436,7 @@ fn wsaf_log2_for(flows: u64, target: &TuneTarget) -> Option<u32> {
         TuneTarget::Throughput => 0.7,
     };
     let required = (flows.max(1) as f64 / load_cap).ceil() as u64;
-    let log2 = 64 - required.next_power_of_two().leading_zeros() - 1;
+    let log2 = 64 - required.checked_next_power_of_two()?.leading_zeros() - 1;
     if log2 > 26 {
         return None;
     }
@@ -476,7 +475,7 @@ pub fn solve(
         TuneTarget::Throughput => None,
     };
 
-    for layers in 1..=4u32 {
+    for layers in 1..=2u32 {
         for vector_bits in [4u32, 8, 16, 32] {
             let l1_memory_bytes = l1_bytes_for(flows, vector_bits);
             let cfg = SketchConfig::builder()

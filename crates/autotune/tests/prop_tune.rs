@@ -185,6 +185,26 @@ proptest! {
             prop_assert!((back.predicted_epsilon - plan.predicted_epsilon).abs() < 1e-12);
         }
     }
+
+    #[test]
+    fn every_solved_plan_is_a_depth_the_runtime_builds(
+        pps_m in 0.1f64..8192.0,
+        eps_pm in prop::sample::select(vec![50u32, 100, 300]),
+        margin in prop::sample::select(vec![1.0f64, 2.0, 10.0]),
+        flows in 1_000u64..200_000,
+        heaviest in 50u64..5_000_000,
+    ) {
+        // `TunePlan::filter_kind` runs depth 1 as `rcc` and depth 2 as the
+        // two-layer `regulator`; a deeper plan would promise a cascade the
+        // pipeline never builds.
+        let profile = MachineProfile::paper();
+        let sizes = zipf_sizes(flows, heaviest);
+        let acc = TuneRequest::accuracy(pps_m * 1e6, f64::from(eps_pm) / 1000.0, 0.05);
+        let thr = TuneRequest::throughput(pps_m * 1e6, margin);
+        for plan in [solve(&profile, &acc, &sizes), solve(&profile, &thr, &sizes)].into_iter().flatten() {
+            prop_assert!(matches!(plan.layers, 1 | 2), "unbuildable depth: {}", plan);
+        }
+    }
 }
 
 /// The pinned golden solve: the paper machine, the documented default

@@ -12,9 +12,7 @@
 use std::collections::HashMap;
 
 use instameasure_packet::FlowKey;
-use instameasure_sketch::{
-    FlowFilter, FlowRegulator, FlowRegulatorOptions, MultiLayerRegulator, SketchConfig,
-};
+use instameasure_sketch::{FlowFilter, FlowRegulator, FlowRegulatorOptions, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 use instameasure_traffic::Trace;
 use instameasure_wsaf::{EvictionPolicy, WsafConfig, WsafTable};
@@ -46,7 +44,10 @@ fn study_layers(trace: &Trace, min_size: u64, seed: u64) {
     println!("# A. layer count (8 KB/layer): regulation rate vs accuracy");
     println!("layers\tregulation\tretention_model\telephant_err\tmemory_kb");
     for layers in 1..=4u32 {
-        let mut reg = MultiLayerRegulator::new(sketch_cfg(seed), layers);
+        let mut reg = FlowRegulator::with_options(
+            sketch_cfg(seed),
+            FlowRegulatorOptions { layers, ..Default::default() },
+        );
         let err = elephant_error(&mut reg, trace, min_size);
         println!(
             "{layers}\t{:.5}\t{:.0}\t{:.4}\t{}",

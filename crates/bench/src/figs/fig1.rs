@@ -1,7 +1,7 @@
 //! Fig. 1 — RCC's saturation (WSAF insertion) rate is 12–19% of the packet
 //! arrival rate, too high for an in-DRAM WSAF.
 
-use instameasure_sketch::{FlowFilter, SingleLayerRcc, SketchConfig};
+use instameasure_sketch::{FlowFilter, FlowRegulator, FlowRegulatorOptions, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 
 use crate::{fmt_count, print_checks, BenchArgs, Instrumented, PaperCheck, Snapshot};
@@ -19,13 +19,17 @@ pub fn run(args: &BenchArgs) -> Snapshot {
         trace.stats.duration_nanos as f64 / 1e9
     );
 
-    let mem = 128 * 1024;
-    let mut rcc8 = SingleLayerRcc::new(
-        SketchConfig::builder().memory_bytes(mem).vector_bits(8).seed(args.seed).build().unwrap(),
-    );
-    let mut rcc16 = SingleLayerRcc::new(
-        SketchConfig::builder().memory_bytes(mem).vector_bits(16).seed(args.seed).build().unwrap(),
-    );
+    let rcc = |bits| {
+        let cfg = SketchConfig::builder()
+            .memory_bytes(128 * 1024)
+            .vector_bits(bits)
+            .seed(args.seed)
+            .build()
+            .unwrap();
+        FlowRegulator::with_options(cfg, FlowRegulatorOptions { layers: 1, ..Default::default() })
+    };
+    let mut rcc8 = rcc(8);
+    let mut rcc16 = rcc(16);
 
     let bin = 1_000_000_000u64; // 1 s bins
     println!("bin_s\tpps\trcc8_ips\trcc8_rate\trcc16_ips\trcc16_rate");

@@ -3,7 +3,7 @@
 
 use instameasure_autotune::MachineProfile;
 use instameasure_memmodel::{MarginAnalysis, MemoryTechnology};
-use instameasure_sketch::{FlowFilter, FlowRegulator, SingleLayerRcc, SketchConfig};
+use instameasure_sketch::{FlowFilter, FlowRegulator, FlowRegulatorOptions, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 
 use crate::{fmt_count, print_checks, BenchArgs, Instrumented, PaperCheck, Snapshot};
@@ -33,7 +33,10 @@ pub fn run(args: &BenchArgs) -> Snapshot {
         .build()
         .unwrap();
     let mut fr = FlowRegulator::new(fr_cfg);
-    let mut rcc = SingleLayerRcc::new(rcc_cfg);
+    let mut rcc = FlowRegulator::with_options(
+        rcc_cfg,
+        FlowRegulatorOptions { layers: 1, ..Default::default() },
+    );
 
     let bin = 1_000_000_000u64;
     println!("bin_s\tpps\trcc_ips\tfr_ips\trcc_rate\tfr_rate");
@@ -151,10 +154,11 @@ pub fn run(args: &BenchArgs) -> Snapshot {
     );
 
     // The FlowRegulator's full regulator.* telemetry (including the
-    // regulation_rate gauge this figure is about), the baseline RCC's
-    // rcc.* metrics, and the figure-level margin gauges.
+    // regulation_rate gauge this figure is about), the one-layer
+    // baseline's under rcc.regulator.*, and the figure-level margin
+    // gauges.
     let mut snap = fr.telemetry();
-    snap.merge(&rcc.telemetry());
+    snap.merge(&rcc.telemetry().prefixed("rcc"));
     snap.set_gauge("fig.fr_dram_margin", fr_margin);
     snap.set_gauge("fig.rcc_dram_margin", rcc_margin);
     snap.set_gauge("fig.fr_analytic_rate", fr_analytic);

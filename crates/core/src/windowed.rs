@@ -276,6 +276,26 @@ mod tests {
     }
 
     #[test]
+    fn rcc_filter_telemetry_reports_the_whole_run_regulation_rate() {
+        let cfg = cfg().with_filter(instameasure_sketch::FilterKind::Rcc);
+        let mut wm = WindowedMeasurement::new(cfg, 1_000, 2);
+        // An elephant fills the first windows, distinct mice the rest, so
+        // the per-window rates differ and a max-merged gauge would be off.
+        for t in 0..10_000u64 {
+            let flow = if t < 3_000 { 1 } else { 100 + t as u32 };
+            wm.process(&PacketRecord::new(key(flow), 100, t));
+        }
+        wm.finish();
+        let snap = wm.telemetry();
+        assert_eq!(snap.counter("regulator.packets"), Some(10_000));
+        let updates = snap.counter("regulator.updates").unwrap();
+        assert!(updates > 0, "the elephant must release updates");
+        let rate = snap.gauge("regulator.regulation_rate").unwrap();
+        let by_hand = updates as f64 / 10_000.0;
+        assert!((rate - by_hand).abs() < 1e-12, "rate {rate} vs counters {by_hand}");
+    }
+
+    #[test]
     fn first_packet_anchors_the_window_grid() {
         let mut wm = WindowedMeasurement::new(cfg(), 1_000, 1);
         // Start mid-grid: first packet at t=2500 lands in window [2000,3000).

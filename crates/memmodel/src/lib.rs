@@ -262,7 +262,15 @@ mod tests {
         let measured = paper.with_access_nanos(100.0);
         assert_eq!(measured.access_nanos(), 100.0);
         assert!((measured.margin() - paper.margin() * 0.8).abs() < 1e-9);
-        assert!(measured.max_feasible_regulation() < paper.max_feasible_regulation());
+        // At 1 Mpps both latencies leave room for every packet: the
+        // feasible regulation clamps to 1.0 on both sides.
+        assert_eq!(measured.max_feasible_regulation(), 1.0);
+        assert_eq!(paper.max_feasible_regulation(), 1.0);
+        // Where neither clamps, the slower memory tolerates less.
+        let fast = MarginAnalysis::new(100.0e6, 0.05, MemoryTechnology::Dram);
+        let slow = fast.with_access_nanos(100.0);
+        assert!(slow.max_feasible_regulation() < fast.max_feasible_regulation());
+        assert!(fast.max_feasible_regulation() < 1.0);
     }
 
     #[test]

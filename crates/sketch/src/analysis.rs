@@ -218,7 +218,7 @@ mod tests {
     use super::*;
     use crate::decode;
     use crate::filter::FlowFilter;
-    use crate::{FlowRegulator, SingleLayerRcc};
+    use crate::{FlowRegulator, FlowRegulatorOptions};
     use instameasure_packet::{FlowKey, PacketRecord, Protocol};
 
     fn cfg() -> SketchConfig {
@@ -256,7 +256,8 @@ mod tests {
     fn chain_matches_simulated_rcc_for_single_flow() {
         let key = FlowKey::new([1, 2, 3, 4], [4, 3, 2, 1], 9, 9, Protocol::Udp);
         for s in [10u64, 100, 10_000] {
-            let mut reg = SingleLayerRcc::new(cfg());
+            let opts = FlowRegulatorOptions { layers: 1, ..Default::default() };
+            let mut reg = FlowRegulator::with_options(cfg(), opts);
             for t in 0..s {
                 reg.process(&PacketRecord::new(key, 100, t));
             }

@@ -27,9 +27,8 @@ use instameasure_packet::{FlowDigest, FlowKey, PacketRecord};
 use instameasure_telemetry::{Instrumented, Snapshot};
 
 use crate::config::SketchConfig;
-use crate::flow_regulator::FlowRegulator;
+use crate::flow_regulator::{FlowRegulator, FlowRegulatorOptions};
 use crate::hashflow::HashFlowFilter;
-use crate::regulator::SingleLayerRcc;
 use crate::swing::SwingFilter;
 
 /// An accumulated count released by a front-end filter toward the WSAF
@@ -164,7 +163,8 @@ pub enum FilterKind {
     #[default]
     Regulator,
     /// A single flat [`Rcc`](crate::Rcc) spending the whole budget on one
-    /// layer ([`SingleLayerRcc`]) — the paper's Fig. 1/7 baseline.
+    /// layer (a one-layer [`FlowRegulator`]) — the paper's Fig. 1/7
+    /// baseline.
     Rcc,
     /// [`SwingFilter`]: an exact fingerprint stage in front of a keyed
     /// store, split 1/3 filter – 2/3 store.
@@ -231,7 +231,8 @@ impl FilterKind {
             FilterKind::Rcc => {
                 let flat =
                     cfg.with_memory_bytes(budget).expect("scaling a valid geometry up stays valid");
-                AnyFilter::Rcc(SingleLayerRcc::new(flat))
+                let opts = FlowRegulatorOptions { layers: 1, ..Default::default() };
+                AnyFilter::Rcc(FlowRegulator::with_options(flat, opts))
             }
             FilterKind::Swing => AnyFilter::Swing(SwingFilter::new(budget, cfg.seed())),
             FilterKind::HashFlow => AnyFilter::HashFlow(HashFlowFilter::new(budget, cfg.seed())),
@@ -271,8 +272,8 @@ impl FromStr for FilterKind {
 pub enum AnyFilter {
     /// The paper's two-layer regulator.
     Regulator(FlowRegulator),
-    /// The flat single-layer RCC baseline.
-    Rcc(SingleLayerRcc),
+    /// The flat single-layer RCC baseline: a one-layer regulator.
+    Rcc(FlowRegulator),
     /// The swing filter alternate.
     Swing(SwingFilter),
     /// The HashFlow alternate.
@@ -302,12 +303,13 @@ impl AnyFilter {
         }
     }
 
-    /// The underlying [`FlowRegulator`], when this filter is one (for
-    /// regulator-specific diagnostics like per-class saturation counts).
+    /// The underlying [`FlowRegulator`] of the `regulator` and `rcc`
+    /// kinds (for regulator-specific diagnostics like per-class
+    /// saturation counts).
     #[must_use]
     pub fn as_regulator(&self) -> Option<&FlowRegulator> {
         match self {
-            AnyFilter::Regulator(fr) => Some(fr),
+            AnyFilter::Regulator(fr) | AnyFilter::Rcc(fr) => Some(fr),
             _ => None,
         }
     }
@@ -366,6 +368,15 @@ mod tests {
 
     fn cfg() -> SketchConfig {
         SketchConfig::builder().memory_bytes(4096).vector_bits(8).seed(7).build().unwrap()
+    }
+
+    #[test]
+    fn stats_rates() {
+        let s = FilterStats { packets: 200, updates: 25, mem_accesses: 210, hashes: 200 };
+        assert!((s.regulation_rate() - 0.125).abs() < 1e-12);
+        assert!((s.accesses_per_packet() - 1.05).abs() < 1e-12);
+        assert_eq!(FilterStats::default().regulation_rate(), 0.0);
+        assert_eq!(FilterStats::default().accesses_per_packet(), 0.0);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The two-layer FlowRegulator (paper §III, Algorithm 1).
+//! The FlowRegulator (paper §III, Algorithm 1) at any depth: the
+//! single-layer RCC baseline (L=1), the paper's two-layer design (L=2,
+//! the default) and the §V-B TCAM-margin extension (L=3..=6).
 
 use instameasure_packet::{prefetch, simd as packet_simd, FlowDigest, PacketRecord};
 use instameasure_telemetry::{Instrumented, Snapshot};
@@ -6,53 +8,92 @@ use instameasure_telemetry::{Instrumented, Snapshot};
 use crate::config::SketchConfig;
 use crate::decode;
 use crate::filter::{FilterStats, FlowFilter, FlowUpdate};
-use crate::rcc::Rcc;
+use crate::rcc::{Rcc, SaturationEvent};
 
-/// Design-choice switches of the FlowRegulator, exposed for ablation
-/// studies (`cargo run -rp instameasure-bench --bin ablations`). The
-/// defaults are the paper's design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Depth and design-choice switches of the FlowRegulator, exposed for
+/// ablation studies (`cargo run -rp instameasure-bench --bin ablations`).
+/// The defaults are the paper's design.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowRegulatorOptions {
-    /// Collapse the per-noise-class L2 counters into a single shared L2
-    /// (ablates the paper's three-case design of §III-A: saturations of
-    /// different classes then share one vector, blurring the decode unit).
+    /// Number of layers, `1..=6`: 1 is the single-layer RCC baseline
+    /// (every L1 saturation goes straight to the WSAF), 2 the paper's
+    /// design, 3+ the §V-B extension ("adjusting the vector size or even
+    /// the number of layers") for TCAM-grade margins.
+    pub layers: u32,
+    /// Collapse the per-noise-class branches below L1 into a single
+    /// shared branch (ablates the paper's three-case design of §III-A:
+    /// saturations of different classes then share one vector, blurring
+    /// the decode unit).
     pub shared_l2: bool,
-    /// Give L2 an independent hash function instead of reusing L1's word
-    /// index and bit positions (ablates the paper's "hash function reuse";
-    /// costs a second hash per L1 saturation).
+    /// Give the layers below L1 an independent hash function instead of
+    /// reusing L1's word index and bit positions (ablates the paper's
+    /// "hash function reuse"; costs a second hash per L1 saturation).
     pub independent_l2_hash: bool,
 }
 
-/// The paper's two-layer probabilistic counter.
+impl Default for FlowRegulatorOptions {
+    fn default() -> Self {
+        FlowRegulatorOptions { layers: 2, shared_l2: false, independent_l2_hash: false }
+    }
+}
+
+/// The paper's probabilistic counter cascade.
 ///
-/// Layer 1 is a plain [`Rcc`]. Layer 2 is one RCC *per L1 noise class*
-/// (three for 8-bit vectors): when L1 saturates with noise class `z`, a
-/// single bit is encoded into `L2[z]` — so one L2 bit stands for a whole
-/// L1 cycle (~7 packets for `b = 8`). When `L2[z]` itself saturates, the
-/// released count is the product of the two decodes:
+/// Layer 1 is a plain [`Rcc`]. Below it, each L1 *noise class* (three
+/// for 8-bit vectors) owns a branch: a chain of `layers - 1` RCCs. When
+/// L1 saturates with noise class `z`, a single bit is encoded into the
+/// first layer of branch `z` — so one L2 bit stands for a whole L1 cycle
+/// (~7 packets for `b = 8`) — and a saturation at depth `k` likewise
+/// encodes one bit at depth `k + 1`. Only a saturation of the *last*
+/// layer releases an update, whose count is the product of the decodes
+/// along the chain; at the paper's two layers:
 ///
 /// ```text
 /// est_pkt  = RCC_Decode(Noise_L1) × RCC_Decode(Noise_L2)
 /// est_byte = est_pkt × len(trigger packet)
 /// ```
 ///
-/// All layers share the flow's hash (word index and bit positions — the
-/// paper's "hash function reuse"), so a packet costs **one hash and at most
-/// two word accesses**.
+/// With one layer there are no branches and every L1 saturation is
+/// released as is. All layers share the flow's hash (word index and bit
+/// positions — the paper's "hash function reuse"), so a packet costs
+/// **one hash and at most `layers` word accesses**, and the deep layers
+/// are touched rarely.
 ///
-/// Total memory is `(1 + noise_classes) × memory_bytes` — 4× for the
-/// default 8-bit vectors, matching the paper's 32 KB → 128 KB accounting.
+/// Total memory is `(1 + noise_classes × (layers - 1)) × memory_bytes` —
+/// 4× for the default 8-bit vectors at two layers, matching the paper's
+/// 32 KB → 128 KB accounting.
+///
+/// # Example
+///
+/// ```
+/// use instameasure_packet::{FlowKey, PacketRecord, Protocol};
+/// use instameasure_sketch::{FlowFilter, FlowRegulator, FlowRegulatorOptions, SketchConfig};
+///
+/// let cfg = SketchConfig::builder().memory_bytes(8 * 1024).build()?;
+/// let mut three = FlowRegulator::with_options(
+///     cfg,
+///     FlowRegulatorOptions { layers: 3, ..Default::default() },
+/// );
+/// let key = FlowKey::new([9, 9, 9, 9], [1, 1, 1, 1], 5, 5, Protocol::Udp);
+/// for t in 0..200_000u64 {
+///     three.process(&PacketRecord::new(key, 700, t));
+/// }
+/// // Three layers regulate far harder than two (~0.1% vs ~2%).
+/// assert!(three.stats().regulation_rate() < 0.005);
+/// # Ok::<(), instameasure_sketch::ConfigError>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct FlowRegulator {
     l1: Rcc,
-    l2: Vec<Rcc>,
+    /// Every layer below L1, flat: branch `c`'s layer at depth `d`
+    /// (0 = L2) lives at `c × (layers - 1) + d`. At two layers this is
+    /// one L2 per branch; at one layer it is empty.
+    deep: Vec<Rcc>,
     opts: FlowRegulatorOptions,
     stats: FilterStats,
     /// L1 saturations (= recycles) broken down by the noise class of the
     /// finished cycle, `1..=noise_max`.
     l1_sats_by_class: Vec<u64>,
-    /// L2 saturations (= estimates released to the WSAF) per L2 layer.
-    l2_sats_by_layer: Vec<u64>,
     /// Recycled per-batch scratch: the packets' digests (SoA, feeds the
     /// AVX2 digest kernel) ...
     digest_scratch: Vec<FlowDigest>,
@@ -61,8 +102,9 @@ pub struct FlowRegulator {
 }
 
 impl FlowRegulator {
-    /// Creates a FlowRegulator whose L1 layer uses `cfg`; L2 layers are
-    /// allocated with identical geometry, one per noise class.
+    /// Creates the paper's two-layer FlowRegulator whose L1 layer uses
+    /// `cfg`; L2 layers are allocated with identical geometry, one per
+    /// noise class.
     ///
     /// # Example
     ///
@@ -78,34 +120,52 @@ impl FlowRegulator {
         Self::with_options(cfg, FlowRegulatorOptions::default())
     }
 
-    /// Creates a FlowRegulator with explicit design switches (ablations).
+    /// Creates a FlowRegulator with an explicit depth and design switches
+    /// (ablations). Every layer allocates the same memory as L1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.layers` is 0 or greater than 6 (beyond six layers
+    /// the release quantum exceeds any realistic measurement window).
     #[must_use]
     pub fn with_options(cfg: SketchConfig, opts: FlowRegulatorOptions) -> Self {
-        let classes = if opts.shared_l2 { 1 } else { cfg.noise_classes() as usize };
-        let l2_cfg =
+        assert!((1..=6).contains(&opts.layers), "layers must be in 1..=6");
+        let chain = opts.layers as usize - 1;
+        let branches = match (chain, opts.shared_l2) {
+            (0, _) => 0,
+            (_, true) => 1,
+            (_, false) => cfg.noise_classes() as usize,
+        };
+        let deep_cfg =
             if opts.independent_l2_hash { cfg.with_seed(cfg.seed() ^ 0x10E2_5EED) } else { cfg };
         FlowRegulator {
             l1: Rcc::new(cfg),
-            l2: (0..classes).map(|_| Rcc::new(l2_cfg)).collect(),
+            deep: (0..branches * chain).map(|_| Rcc::new(deep_cfg)).collect(),
             opts,
             stats: FilterStats::default(),
             l1_sats_by_class: vec![0; cfg.noise_classes() as usize],
-            l2_sats_by_layer: vec![0; classes],
             digest_scratch: Vec::new(),
             lane_scratch: Vec::new(),
         }
     }
 
-    /// The active design switches.
+    /// The active depth and design switches.
     #[must_use]
     pub fn options(&self) -> FlowRegulatorOptions {
         self.opts
     }
 
-    /// Number of L2 layers (= noise classes of the L1 geometry).
+    /// Number of layers (1 = single-layer RCC, 2 = the paper's design).
+    #[must_use]
+    pub fn layers(&self) -> u32 {
+        self.opts.layers
+    }
+
+    /// Number of L2 layers: one per branch (= noise classes of the L1
+    /// geometry, 1 under the shared-L2 ablation, 0 at a single layer).
     #[must_use]
     pub fn num_l2_layers(&self) -> usize {
-        self.l2.len()
+        self.deep.len() / self.chain_len().max(1)
     }
 
     /// The L1 layer (read-only, for diagnostics).
@@ -120,6 +180,24 @@ impl FlowRegulator {
         self.l1.config()
     }
 
+    /// Analytic retention capacity for this geometry and depth:
+    /// `capacity(layer)^layers` packets of one isolated flow per release.
+    #[must_use]
+    pub fn model_retention(&self) -> f64 {
+        self.epoch().powi(self.opts.layers as i32)
+    }
+
+    /// Layers per branch below L1 (`layers - 1`).
+    fn chain_len(&self) -> usize {
+        self.opts.layers as usize - 1
+    }
+
+    /// One layer's noise-free saturation period: each level of a branch
+    /// scales the unit of the level above by it.
+    fn epoch(&self) -> f64 {
+        decode::saturation_period(self.config().vector_bits(), self.config().noise_max())
+    }
+
     /// The decode *unit* for noise class `class` given the current local
     /// noise estimate: the packets one class-`class` L1 saturation stands
     /// for.
@@ -127,11 +205,10 @@ impl FlowRegulator {
         decode::estimate_own_packets(self.config().vector_bits(), class, 0.0).max(1.0)
     }
 
-    /// Algorithm 1 with the hashing already done: encode into L1; on L1
-    /// saturation encode one bit into the class's L2; on L2 saturation
-    /// release the multiplicative estimate. `h1` must be
+    /// Algorithm 1 with the hashing already done: encode into L1 and
+    /// hand an L1 saturation to the cascade. `h1` must be
     /// `self.l1().hash_digest(digest)` — the scalar and batched entry
-    /// points both funnel through here, which is what keeps them
+    /// points both funnel through the same tail, which is what keeps them
     /// bit-identical.
     #[inline]
     fn process_prepared(
@@ -141,7 +218,7 @@ impl FlowRegulator {
         h1: u64,
     ) -> Option<FlowUpdate> {
         self.stats.packets += 1;
-        self.stats.hashes += 1; // the digest: reused by both layers unless ablated
+        self.stats.hashes += 1; // the digest: reused by every layer unless ablated
 
         self.stats.mem_accesses += 1;
         let sat1 = self.l1.encode_hashed(h1)?;
@@ -150,7 +227,7 @@ impl FlowRegulator {
 
     /// The batched twin of [`FlowRegulator::process_prepared`]: L1's
     /// placement comes from the prepared batch scratch (packet `i` of the
-    /// current [`crate::Rcc::prepare_batch`]) instead of being derived
+    /// current `Rcc::prepare_batch`) instead of being derived
     /// inline. Identical outcome — `Rcc::encode_prepared` is bit-identical
     /// to `Rcc::encode_hashed` — and the L1-saturation tail is literally
     /// shared code.
@@ -170,33 +247,37 @@ impl FlowRegulator {
         self.finish_l1_saturation(pkt, digest, h1, sat1)
     }
 
-    /// Everything after an L1 saturation: bump the class counter, encode
-    /// one bit into the class's L2 (rare, data-dependent — stays scalar),
-    /// and on L2 saturation release the multiplicative estimate.
+    /// Everything after an L1 saturation: bump the class counter, then
+    /// walk the class's branch (rare, data-dependent — stays scalar),
+    /// encoding one bit per level until a level does not saturate. Only
+    /// when the last level saturates is the product of the decodes
+    /// released; a single-layer regulator releases L1's decode directly.
     #[inline]
     fn finish_l1_saturation(
         &mut self,
         pkt: &PacketRecord,
         digest: FlowDigest,
         h1: u64,
-        sat1: crate::SaturationEvent,
+        sat1: SaturationEvent,
     ) -> Option<FlowUpdate> {
         self.l1_sats_by_class[(sat1.noise_class - 1) as usize] += 1;
 
-        let class_idx = if self.opts.shared_l2 { 0 } else { (sat1.noise_class - 1) as usize };
-        let layer = &mut self.l2[class_idx];
-        let h2 = if self.opts.independent_l2_hash {
-            self.stats.hashes += 1;
-            layer.hash_digest(digest)
-        } else {
-            h1
-        };
-        self.stats.mem_accesses += 1;
-        let sat2 = layer.encode_hashed(h2)?;
-        self.l2_sats_by_layer[class_idx] += 1;
+        let mut est_pkts = sat1.estimate;
+        let chain = self.chain_len();
+        if chain > 0 {
+            let branch = if self.opts.shared_l2 { 0 } else { (sat1.noise_class - 1) as usize };
+            let h = if self.opts.independent_l2_hash {
+                self.stats.hashes += 1;
+                self.deep[0].hash_digest(digest)
+            } else {
+                h1
+            };
+            for layer in &mut self.deep[branch * chain..(branch + 1) * chain] {
+                self.stats.mem_accesses += 1;
+                est_pkts *= layer.encode_hashed(h)?.estimate;
+            }
+        }
 
-        // Both layers saturated: release unit × count.
-        let est_pkts = sat1.estimate * sat2.estimate;
         self.stats.updates += 1;
         Some(FlowUpdate {
             key: pkt.key,
@@ -207,24 +288,34 @@ impl FlowRegulator {
         })
     }
 
-    /// [`FlowFilter::estimate_packets`] with the residual framing: the
-    /// computed: L1's running cycle plus, per class, the L2 cycle decoded
-    /// and scaled by that class's unit. Query layers that hash once for
-    /// several structures use this to skip the key-byte rehash.
+    /// [`FlowFilter::estimate_packets`] with the digest already
+    /// computed: L1's running cycle plus, per branch, the chain decoded
+    /// inward — each level's residual scaled by the packets one of its
+    /// bits stands for (the class unit × `epoch^depth`). Query layers
+    /// that hash once for several structures use this to skip the
+    /// key-byte rehash.
     #[must_use]
     pub fn residual_packets_digest(&self, digest: FlowDigest) -> f64 {
         let h = self.l1.hash_digest(digest);
         let mut total = self.l1.residual_hashed(h);
-        for (idx, layer) in self.l2.iter().enumerate() {
+        if self.deep.is_empty() {
+            return total;
+        }
+        let h = if self.opts.independent_l2_hash { self.deep[0].hash_digest(digest) } else { h };
+        let epoch = self.epoch();
+        for (idx, branch) in self.deep.chunks_exact(self.chain_len()).enumerate() {
             // Under the shared-L2 ablation the class is unknowable; use
             // the top class as the unit (slightly optimistic, like the
             // design itself).
             let class =
                 if self.opts.shared_l2 { self.config().noise_max() } else { idx as u32 + 1 };
-            let h2 = if self.opts.independent_l2_hash { layer.hash_digest(digest) } else { h };
-            let sat_count = layer.residual_hashed(h2);
-            if sat_count > 0.0 {
-                total += sat_count * self.class_unit(class);
+            let mut unit = self.class_unit(class);
+            for layer in branch {
+                let level_count = layer.residual_hashed(h);
+                if level_count > 0.0 {
+                    total += level_count * unit;
+                }
+                unit *= epoch;
             }
         }
         total
@@ -233,7 +324,7 @@ impl FlowRegulator {
 
 impl FlowFilter for FlowRegulator {
     /// Algorithm 1 of the paper: one digest of the key bytes, then
-    /// [`FlowRegulator::process_prepared`].
+    /// `FlowRegulator::process_prepared`.
     fn process(&mut self, pkt: &PacketRecord) -> Option<FlowUpdate> {
         let digest = FlowDigest::of(&pkt.key);
         let h1 = self.l1.hash_digest(digest);
@@ -243,13 +334,13 @@ impl FlowFilter for FlowRegulator {
     /// Batched hot path, three passes: (1) the AVX2 digest kernel mixes
     /// four keys per step into digests + L1 lanes (SoA scratch); (2) L1
     /// derives every packet's placement — word index, vector mask, drawn
-    /// position — four packets per step ([`crate::Rcc::prepare_batch`]);
+    /// position — four packets per step (`Rcc::prepare_batch`);
     /// (3) the memory-touching encode runs in packet order with the L1
     /// counter word of packet `i + K` prefetched by its precomputed index
-    /// (K = [`prefetch::prefetch_distance`]). L2 words are not prefetched
-    /// and L2 encodes stay scalar — which L2 layer (if any) a packet
-    /// touches depends on L1's saturation outcome, so their addresses are
-    /// unknowable ahead of the encode.
+    /// (K = [`prefetch::prefetch_distance`]). Deeper words are not
+    /// prefetched and deeper encodes stay scalar — which layer (if any) a
+    /// packet touches below L1 depends on L1's saturation outcome, so
+    /// their addresses are unknowable ahead of the encode.
     fn process_batch(&mut self, pkts: &[PacketRecord], out: &mut Vec<FlowUpdate>) {
         let mut digests = core::mem::take(&mut self.digest_scratch);
         let mut lanes = core::mem::take(&mut self.lane_scratch);
@@ -281,28 +372,30 @@ impl FlowFilter for FlowRegulator {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.config().memory_bytes() * (1 + self.l2.len())
+        self.config().memory_bytes() * (1 + self.deep.len())
     }
 
     fn reset(&mut self) {
         self.l1.reset();
-        for layer in &mut self.l2 {
+        for layer in &mut self.deep {
             layer.reset();
         }
         self.stats = FilterStats::default();
         self.l1_sats_by_class.fill(0);
-        self.l2_sats_by_layer.fill(0);
     }
 }
 
 impl Instrumented for FlowRegulator {
-    /// Exports the regulator's counters under the `regulator.` prefix.
+    /// Exports the regulator's counters under the `regulator.` prefix, at
+    /// every depth.
     ///
     /// Counters: `packets`, `updates` (= `leak_throughs`, estimates
     /// released to the WSAF), `hashes`, `mem_accesses`, `recycles`
     /// (L1 saturations), plus `l1.saturations.class{z}` per noise class
-    /// and `l2.layer{i}.saturations` per L2 layer. Gauges:
-    /// `regulation_rate`, `l1.fill_ratio`, `l2.layer{i}.fill_ratio`.
+    /// and `l{d}.layer{i}.saturations` for branch `i`'s layer at depth
+    /// `d` (2..=layers). Last-layer saturations are the releases, so at
+    /// two or more layers the `l{layers}.` counters sum to `updates`.
+    /// Gauges: `regulation_rate`, `l1.fill_ratio`, `l{d}.layer{i}.fill_ratio`.
     fn telemetry(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         snap.set_counter("regulator.packets", self.stats.packets);
@@ -314,9 +407,12 @@ impl Instrumented for FlowRegulator {
         for (idx, &n) in self.l1_sats_by_class.iter().enumerate() {
             snap.set_counter(format!("regulator.l1.saturations.class{}", idx + 1), n);
         }
-        for (idx, (layer, &n)) in self.l2.iter().zip(&self.l2_sats_by_layer).enumerate() {
-            snap.set_counter(format!("regulator.l2.layer{idx}.saturations"), n);
-            snap.set_gauge(format!("regulator.l2.layer{idx}.fill_ratio"), layer.fill_ratio());
+        let chain = self.chain_len().max(1);
+        for (at, layer) in self.deep.iter().enumerate() {
+            let (branch, depth) = (at / chain, at % chain + 2);
+            let name = format!("regulator.l{depth}.layer{branch}");
+            snap.set_counter(format!("{name}.saturations"), layer.saturations());
+            snap.set_gauge(format!("{name}.fill_ratio"), layer.fill_ratio());
         }
         snap.set_gauge("regulator.regulation_rate", self.stats.regulation_rate());
         snap.set_gauge("regulator.l1.fill_ratio", self.l1.fill_ratio());
@@ -341,11 +437,17 @@ mod tests {
         SketchConfig::builder().memory_bytes(bytes).vector_bits(8).seed(3).build().unwrap()
     }
 
+    fn depth(layers: u32) -> FlowRegulatorOptions {
+        FlowRegulatorOptions { layers, ..Default::default() }
+    }
+
     #[test]
     fn allocates_one_l2_per_noise_class() {
         assert_eq!(FlowRegulator::new(cfg(1024)).num_l2_layers(), 3);
         let cfg16 = SketchConfig::builder().memory_bytes(1024).vector_bits(16).build().unwrap();
         assert_eq!(FlowRegulator::new(cfg16).num_l2_layers(), 6);
+        assert_eq!(FlowRegulator::with_options(cfg(1024), depth(1)).num_l2_layers(), 0);
+        assert_eq!(FlowRegulator::with_options(cfg(1024), depth(4)).num_l2_layers(), 3);
     }
 
     #[test]
@@ -353,6 +455,7 @@ mod tests {
         // 32 KB L1 -> 128 KB total (paper §IV-D).
         let fr = FlowRegulator::new(cfg(32 * 1024));
         assert_eq!(fr.memory_bytes(), 128 * 1024);
+        assert_eq!(fr.layers(), 2);
     }
 
     #[test]
@@ -368,6 +471,19 @@ mod tests {
     }
 
     #[test]
+    fn single_layer_regulation_rate_matches_fig1() {
+        // Paper Fig. 1: 8-bit RCC passes 12–19% of packets through to the
+        // WSAF. For a single elephant flow the rate is 1/coupon ≈ 14%.
+        let cfg = SketchConfig::builder().memory_bytes(4096).vector_bits(8).build().unwrap();
+        let mut reg = FlowRegulator::with_options(cfg, depth(1));
+        for t in 0..100_000u64 {
+            reg.process(&pkt(1, t));
+        }
+        let rate = reg.stats().regulation_rate();
+        assert!((0.10..0.20).contains(&rate), "RCC regulation rate {rate}");
+    }
+
+    #[test]
     fn at_most_two_accesses_one_hash_per_packet() {
         let mut fr = FlowRegulator::new(cfg(4096));
         let n = 50_000u64;
@@ -380,6 +496,17 @@ mod tests {
         assert!((1.0..=2.0).contains(&apx), "accesses/packet {apx}");
         // Mostly mice cycles: the second access is rare (~1/7 of packets).
         assert!(apx < 1.35, "accesses/packet {apx} should stay near 1");
+    }
+
+    #[test]
+    fn single_layer_one_access_one_hash_per_packet() {
+        let mut reg = FlowRegulator::with_options(SketchConfig::default(), depth(1));
+        for t in 0..1000 {
+            reg.process(&pkt(t as u32 % 10, t));
+        }
+        let s = reg.stats();
+        assert_eq!(s.mem_accesses, 1000);
+        assert_eq!(s.hashes, 1000);
     }
 
     #[test]
@@ -432,48 +559,65 @@ mod tests {
 
     #[test]
     fn byte_estimates_use_trigger_packet_length() {
-        let mut fr = FlowRegulator::new(cfg(1024));
-        let mut checked = false;
-        for t in 0..500_000u64 {
-            let len = if t % 2 == 0 { 64 } else { 1500 };
-            if let Some(u) = fr.process(&PacketRecord::new(key(4), len, t)) {
-                let expected = u.est_pkts * f64::from(len);
-                assert!((u.est_bytes - expected).abs() < 1e-6);
-                checked = true;
-                break;
+        for layers in 1..=3 {
+            let mut fr = FlowRegulator::with_options(cfg(1024), depth(layers));
+            let mut checked = false;
+            for t in 0..500_000u64 {
+                let len = if t % 2 == 0 { 64 } else { 1500 };
+                if let Some(u) = fr.process(&PacketRecord::new(key(4), len, t)) {
+                    let expected = u.est_pkts * f64::from(len);
+                    assert!((u.est_bytes - expected).abs() < 1e-6, "layers={layers}");
+                    assert_eq!(u.ts_nanos, t, "layers={layers}");
+                    checked = true;
+                    break;
+                }
             }
+            assert!(checked, "layers={layers}: expected at least one update");
         }
-        assert!(checked, "expected at least one update");
     }
 
     #[test]
-    fn telemetry_reconciles_with_stats() {
-        let mut fr = FlowRegulator::new(cfg(4096));
-        for t in 0..50_000u64 {
-            fr.process(&pkt((t % 5) as u32, t));
-        }
-        let snap = fr.telemetry();
-        let s = fr.stats();
-        assert_eq!(snap.counter("regulator.packets"), Some(s.packets));
-        assert_eq!(snap.counter("regulator.updates"), Some(s.updates));
-        assert_eq!(snap.counter("regulator.leak_throughs"), Some(s.updates));
-        // Per-class L1 saturations partition the total recycle count.
-        assert_eq!(
-            snap.counter_sum("regulator.l1.saturations."),
-            snap.counter("regulator.recycles").unwrap()
-        );
-        // Each released update is exactly one L2 saturation.
-        let l2_sats: u64 = (0..fr.num_l2_layers())
-            .map(|i| snap.counter(&format!("regulator.l2.layer{i}.saturations")).unwrap())
-            .sum();
-        assert_eq!(l2_sats, s.updates);
-        let rate = snap.gauge("regulator.regulation_rate").unwrap();
-        assert!((rate - s.regulation_rate()).abs() < 1e-12);
+    fn telemetry_reconciles_with_stats_at_every_depth() {
+        for layers in 1..=4 {
+            let mut fr = FlowRegulator::with_options(cfg(4096), depth(layers));
+            for t in 0..50_000u64 {
+                fr.process(&pkt((t % 5) as u32, t));
+            }
+            let snap = fr.telemetry();
+            let s = fr.stats();
+            let ctx = format!("layers={layers}");
+            assert_eq!(snap.counter("regulator.packets"), Some(s.packets), "{ctx}");
+            assert_eq!(snap.counter("regulator.updates"), Some(s.updates), "{ctx}");
+            assert_eq!(snap.counter("regulator.leak_throughs"), Some(s.updates), "{ctx}");
+            // Per-class L1 saturations partition the total recycle count.
+            assert_eq!(
+                snap.counter_sum("regulator.l1.saturations."),
+                snap.counter("regulator.recycles").unwrap(),
+                "{ctx}"
+            );
+            if layers == 1 {
+                // Every L1 saturation is released as is.
+                assert_eq!(snap.counter("regulator.recycles"), Some(s.updates), "{ctx}");
+            } else {
+                // Each released update is exactly one last-layer
+                // saturation, counted on the branch that released it.
+                let releases: u64 = (0..fr.num_l2_layers())
+                    .map(|i| {
+                        snap.counter(&format!("regulator.l{layers}.layer{i}.saturations")).unwrap()
+                    })
+                    .sum();
+                assert_eq!(releases, s.updates, "{ctx}");
+                assert_eq!(snap.counter_sum(&format!("regulator.l{layers}.")), s.updates, "{ctx}");
+            }
+            let rate = snap.gauge("regulator.regulation_rate").unwrap();
+            assert!((rate - s.regulation_rate()).abs() < 1e-12, "{ctx}");
 
-        fr.reset();
-        let cleared = fr.telemetry();
-        assert_eq!(cleared.counter("regulator.packets"), Some(0));
-        assert_eq!(cleared.counter_sum("regulator.l1.saturations."), 0);
+            fr.reset();
+            let cleared = fr.telemetry();
+            assert_eq!(cleared.counter("regulator.packets"), Some(0), "{ctx}");
+            assert_eq!(cleared.counter_sum("regulator.l1.saturations."), 0, "{ctx}");
+            assert_eq!(cleared.counter_sum(&format!("regulator.l{layers}.")), 0, "{ctx}");
+        }
     }
 
     #[test]
@@ -481,30 +625,35 @@ mod tests {
         let trace: Vec<PacketRecord> = (0..8_000u64)
             .map(|t| PacketRecord::new(key((t % 13) as u32), 100 + (t % 1400) as u16, t))
             .collect();
-        for (shared, indep) in [(false, false), (true, false), (false, true), (true, true)] {
-            let opts = FlowRegulatorOptions { shared_l2: shared, independent_l2_hash: indep };
-            for chunk in [1usize, 9, 256, 8_000] {
-                let mut scalar = FlowRegulator::with_options(cfg(2048), opts);
-                let mut batched = FlowRegulator::with_options(cfg(2048), opts);
+        for layers in 1..=4 {
+            for (shared, indep) in [(false, false), (true, false), (false, true), (true, true)] {
+                let opts =
+                    FlowRegulatorOptions { layers, shared_l2: shared, independent_l2_hash: indep };
+                for chunk in [1usize, 9, 256, 8_000] {
+                    let mut scalar = FlowRegulator::with_options(cfg(2048), opts);
+                    let mut batched = FlowRegulator::with_options(cfg(2048), opts);
 
-                let mut scalar_out = Vec::new();
-                for pkt in &trace {
-                    if let Some(u) = scalar.process(pkt) {
-                        scalar_out.push(u);
+                    let mut scalar_out = Vec::new();
+                    for pkt in &trace {
+                        if let Some(u) = scalar.process(pkt) {
+                            scalar_out.push(u);
+                        }
                     }
-                }
-                let mut batch_out = Vec::new();
-                for pkts in trace.chunks(chunk) {
-                    batched.process_batch(pkts, &mut batch_out);
-                }
+                    let mut batch_out = Vec::new();
+                    for pkts in trace.chunks(chunk) {
+                        batched.process_batch(pkts, &mut batch_out);
+                    }
 
-                let ctx = format!("shared={shared} indep={indep} chunk={chunk}");
-                assert_eq!(scalar_out, batch_out, "{ctx}");
-                assert_eq!(scalar.stats(), batched.stats(), "{ctx}");
-                for i in 0..13 {
-                    let a = scalar.residual_packets(&key(i));
-                    let b = batched.residual_packets(&key(i));
-                    assert_eq!(a.to_bits(), b.to_bits(), "{ctx} flow={i}");
+                    let ctx =
+                        format!("layers={layers} shared={shared} indep={indep} chunk={chunk}");
+                    assert_eq!(scalar_out, batch_out, "{ctx}");
+                    assert_eq!(scalar.stats(), batched.stats(), "{ctx}");
+                    assert_eq!(scalar.telemetry(), batched.telemetry(), "{ctx}");
+                    for i in 0..13 {
+                        let a = scalar.residual_packets(&key(i));
+                        let b = batched.residual_packets(&key(i));
+                        assert_eq!(a.to_bits(), b.to_bits(), "{ctx} flow={i}");
+                    }
                 }
             }
         }
@@ -512,14 +661,139 @@ mod tests {
 
     #[test]
     fn reset_clears_all_layers() {
-        let mut fr = FlowRegulator::new(cfg(1024));
+        for layers in 1..=4 {
+            let mut fr = FlowRegulator::with_options(cfg(1024), depth(layers));
+            for t in 0..10_000u64 {
+                fr.process(&pkt(1, t));
+            }
+            fr.reset();
+            assert_eq!(fr.stats(), FilterStats::default(), "layers={layers}");
+            assert_eq!(fr.residual_packets(&key(1)), 0.0, "layers={layers}");
+            assert_eq!(fr.l1().fill_ratio(), 0.0, "layers={layers}");
+        }
+    }
+}
+
+/// The cascade at depths other than the paper's two: the single-layer
+/// RCC baseline and the §V-B deep extension.
+#[cfg(test)]
+mod depth_tests {
+    use super::*;
+    use instameasure_packet::{FlowKey, Protocol};
+
+    fn key(i: u32) -> FlowKey {
+        FlowKey::new(i.to_be_bytes(), [2, 2, 2, 2], 7, 7, Protocol::Tcp)
+    }
+
+    fn pkt(i: u32, t: u64) -> PacketRecord {
+        PacketRecord::new(key(i), 900, t)
+    }
+
+    fn cfg() -> SketchConfig {
+        SketchConfig::builder().memory_bytes(8 * 1024).vector_bits(8).seed(5).build().unwrap()
+    }
+
+    fn regulator(layers: u32) -> FlowRegulator {
+        FlowRegulator::with_options(cfg(), FlowRegulatorOptions { layers, ..Default::default() })
+    }
+
+    #[test]
+    fn one_layer_behaves_like_single_rcc() {
+        let mut one = regulator(1);
+        for t in 0..50_000u64 {
+            one.process(&pkt(1, t));
+        }
+        let rate = one.stats().regulation_rate();
+        assert!((0.10..0.20).contains(&rate), "1-layer rate {rate}");
+        assert_eq!(one.memory_bytes(), cfg().memory_bytes());
+    }
+
+    #[test]
+    fn regulation_shrinks_geometrically_with_layers() {
+        let mut rates = Vec::new();
+        for layers in 1..=3u32 {
+            let mut fr = regulator(layers);
+            for t in 0..400_000u64 {
+                fr.process(&pkt(1, t));
+            }
+            rates.push(fr.stats().regulation_rate());
+        }
+        assert!(rates[1] < rates[0] / 3.0, "2 layers {} << 1 layer {}", rates[1], rates[0]);
+        assert!(rates[2] < rates[1] / 3.0, "3 layers {} << 2 layers {}", rates[2], rates[1]);
+    }
+
+    #[test]
+    fn retention_matches_model() {
+        // Single isolated flow: packets per update ≈ model_retention.
+        for layers in 1..=2u32 {
+            let mut fr = regulator(layers);
+            let n = 500_000u64;
+            for t in 0..n {
+                fr.process(&pkt(1, t));
+            }
+            let period = n as f64 / fr.stats().updates.max(1) as f64;
+            let model = fr.model_retention();
+            let rel = (period - model).abs() / model;
+            assert!(rel < 0.30, "layers={layers}: period {period} vs model {model}");
+        }
+    }
+
+    #[test]
+    fn three_layer_estimate_is_conserved() {
+        let mut fr = regulator(3);
+        let truth = 2_000_000u64;
+        let mut released = 0.0;
+        for t in 0..truth {
+            if let Some(u) = fr.process(&pkt(1, t)) {
+                released += u.est_pkts;
+            }
+        }
+        let total = released + fr.residual_packets(&key(1));
+        let rel = (total - truth as f64).abs() / truth as f64;
+        // One 3-layer cycle retains ~350 packets; tolerance accordingly.
+        assert!(rel < 0.25, "estimate {total} vs {truth} ({rel})");
+    }
+
+    #[test]
+    fn memory_accounting() {
+        // 8 KB L1, 3 classes, layers-1 extra counters per class.
+        assert_eq!(regulator(3).memory_bytes(), 8 * 1024 * (1 + 3 * 2));
+    }
+
+    #[test]
+    fn accesses_bounded_by_layer_count() {
+        let mut fr = regulator(4);
+        let n = 100_000u64;
+        for t in 0..n {
+            fr.process(&pkt((t % 5) as u32, t));
+        }
+        let s = fr.stats();
+        assert!(s.accesses_per_packet() <= 4.0);
+        assert!(s.accesses_per_packet() < 1.3, "deep layers are touched rarely");
+        assert_eq!(s.hashes, n);
+    }
+
+    #[test]
+    fn reset_clears_cascade() {
+        let mut fr = regulator(3);
         for t in 0..10_000u64 {
             fr.process(&pkt(1, t));
         }
         fr.reset();
         assert_eq!(fr.stats(), FilterStats::default());
         assert_eq!(fr.residual_packets(&key(1)), 0.0);
-        assert_eq!(fr.l1().fill_ratio(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "layers must be in 1..=6")]
+    fn rejects_zero_layers() {
+        let _ = regulator(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "layers must be in 1..=6")]
+    fn rejects_seven_layers() {
+        let _ = regulator(7);
     }
 }
 
@@ -586,7 +860,11 @@ mod option_tests {
         // ablations binary reports it on a realistic trace.)
         for (shared, indep) in [(false, false), (true, false), (false, true), (true, true)] {
             let (_, err) = run(
-                FlowRegulatorOptions { shared_l2: shared, independent_l2_hash: indep },
+                FlowRegulatorOptions {
+                    shared_l2: shared,
+                    independent_l2_hash: indep,
+                    ..Default::default()
+                },
                 4,
                 50_000,
             );

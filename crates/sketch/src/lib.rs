@@ -12,14 +12,15 @@
 //!   machine word; each packet sets one randomly chosen position; when few
 //!   enough zeros remain the vector **saturates**: its contents are decoded
 //!   online (noise-corrected) and the vector is cleared for reuse.
-//!   [`SingleLayerRcc`] wraps it as a filter.
-//! * [`FlowRegulator`] — the paper's contribution: a two-layer arrangement
-//!   in which each bit of a layer-2 RCC encodes one *saturation* of the
+//! * [`FlowRegulator`] — the paper's contribution: a cascade of RCCs in
+//!   which each bit of a layer-2 RCC encodes one *saturation* of the
 //!   layer-1 RCC. Retention capacity therefore grows multiplicatively
 //!   (`decode(L1) × decode(L2)`), which is what lets the regulator shrink
 //!   the WSAF insertion rate to ~1% of the packet rate (paper Fig. 7)
-//!   while still counting accurately. [`MultiLayerRegulator`] generalizes
-//!   it to `L` layers.
+//!   while still counting accurately. Its depth is
+//!   [`FlowRegulatorOptions::layers`]: 2 is the paper's design, 1 the
+//!   single-layer RCC baseline of Figs. 1/7/8, and 3..=6 the §V-B
+//!   extension for TCAM-grade margins.
 //! * [`SwingFilter`] — an exact-counting alternate: a fingerprint stage in
 //!   front of a keyed store, split 1/3 filter – 2/3 store.
 //! * [`HashFlowFilter`] — HashFlow's multi-way main table plus ancillary
@@ -59,9 +60,7 @@ pub mod decode;
 mod filter;
 mod flow_regulator;
 mod hashflow;
-mod multi_layer;
 mod rcc;
-mod regulator;
 #[allow(unsafe_code)]
 mod simd;
 mod swing;
@@ -73,8 +72,5 @@ pub use filter::{
 };
 pub use flow_regulator::{FlowRegulator, FlowRegulatorOptions};
 pub use hashflow::HashFlowFilter;
-pub use multi_layer::MultiLayerRegulator;
 pub use rcc::{Rcc, SaturationEvent};
 pub use swing::SwingFilter;
-
-pub use regulator::SingleLayerRcc;

@@ -59,7 +59,7 @@ pub struct Rcc {
     encodes: u64,
     saturations: u64,
     /// Per-batch placement scratch (word index / mask / position SoA),
-    /// recycled across [`Rcc::encode_batch`] calls.
+    /// recycled across [`Rcc::prepare_batch`] calls.
     scratch: PlacementScratch,
 }
 
@@ -218,32 +218,6 @@ impl Rcc {
     /// Encodes one packet of `key`. See [`Rcc::encode_hashed`].
     pub fn encode(&mut self, key: &FlowKey) -> Option<SaturationEvent> {
         self.encode_hashed(self.hash_key(key))
-    }
-
-    /// Encodes a batch of precomputed hashes: derive every placement up
-    /// front ([`Rcc::prepare_batch`] — AVX2 four packets per step where
-    /// available), then run the memory-touching encode loop with the
-    /// counter word of packet `i + K` prefetched while encoding packet
-    /// `i` (K = [`prefetch::prefetch_distance`]). Calls `sink(i, event)`
-    /// for every saturation, in encode order.
-    ///
-    /// Bit-identical to calling [`Rcc::encode_hashed`] on each hash in
-    /// order: prefetching is advisory, the prepared placements are
-    /// derived from the same counter sequence a scalar loop consumes,
-    /// and the vector kernels are differential-tested against the scalar
-    /// oracle.
-    pub fn encode_batch(&mut self, hashes: &[u64], mut sink: impl FnMut(usize, SaturationEvent)) {
-        self.prepare_batch(hashes);
-        let k = prefetch::prefetch_distance();
-        for i in 0..hashes.len().min(k) {
-            self.prefetch_prepared(i);
-        }
-        for i in 0..hashes.len() {
-            self.prefetch_prepared(i + k);
-            if let Some(sat) = self.encode_prepared(i) {
-                sink(i, sat);
-            }
-        }
     }
 
     /// Decodes, without modifying state, the packets currently retained in
@@ -476,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_batch_is_bit_identical_to_scalar() {
+    fn prepared_encode_is_bit_identical_to_scalar() {
         for n in [0usize, 1, 3, 8, 9, 64, 1000] {
             let mut scalar = Rcc::new(small_cfg());
             let mut batched = Rcc::new(small_cfg());
@@ -489,7 +463,13 @@ mod tests {
                 }
             }
             let mut batch_sats = Vec::new();
-            batched.encode_batch(&hashes, |i, s| batch_sats.push((i, s)));
+            batched.prepare_batch(&hashes);
+            for i in 0..n {
+                batched.prefetch_prepared(i + 8);
+                if let Some(s) = batched.encode_prepared(i) {
+                    batch_sats.push((i, s));
+                }
+            }
 
             assert_eq!(scalar_sats, batch_sats, "n={n}");
             assert_eq!(scalar.words, batched.words, "n={n}");

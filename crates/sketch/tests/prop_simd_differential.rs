@@ -112,7 +112,7 @@ proptest! {
         indep in any::<bool>(),
     ) {
         let cfg = cfg(11, 8, seed);
-        let opts = FlowRegulatorOptions { shared_l2: shared, independent_l2_hash: indep };
+        let opts = FlowRegulatorOptions { shared_l2: shared, independent_l2_hash: indep, ..Default::default() };
         let trace = trace(flows, packets);
         let (scalar, vector) = under_both_tiers(|| {
             replay(|| FlowRegulator::with_options(cfg, opts), &trace, chunk, flows)
@@ -139,7 +139,11 @@ fn ragged_tails_are_bit_identical_across_tiers_for_every_kind() {
             assert_eq!(scalar, vector, "{kind} diverged across tiers at len {len}");
         }
         for (shared, indep) in [(false, false), (true, false), (false, true), (true, true)] {
-            let opts = FlowRegulatorOptions { shared_l2: shared, independent_l2_hash: indep };
+            let opts = FlowRegulatorOptions {
+                shared_l2: shared,
+                independent_l2_hash: indep,
+                ..Default::default()
+            };
             let (scalar, vector) = under_both_tiers(|| {
                 replay(|| FlowRegulator::with_options(cfg(12, 8, 7), opts), slice, len.max(1), 13)
             });

@@ -1,7 +1,9 @@
 //! Property tests on the sketch invariants.
 
 use instameasure_packet::{FlowKey, PacketRecord, Protocol};
-use instameasure_sketch::{decode, FlowFilter, FlowRegulator, Rcc, SingleLayerRcc, SketchConfig};
+use instameasure_sketch::{
+    decode, FlowFilter, FlowRegulator, FlowRegulatorOptions, Rcc, SketchConfig,
+};
 use proptest::prelude::*;
 
 fn key(i: u32) -> FlowKey {
@@ -95,7 +97,10 @@ proptest! {
     fn regulator_stats_are_consistent(flows in 1u32..50, pkts_per_flow in 1u64..200) {
         let cfg = SketchConfig::builder().memory_bytes(8192).vector_bits(8).build().unwrap();
         for reg in [&mut FlowRegulator::new(cfg) as &mut dyn FlowFilter,
-                    &mut SingleLayerRcc::new(cfg) as &mut dyn FlowFilter] {
+                    &mut FlowRegulator::with_options(
+                        cfg,
+                        FlowRegulatorOptions { layers: 1, ..Default::default() },
+                    ) as &mut dyn FlowFilter] {
             let mut updates = 0u64;
             for i in 0..flows {
                 for t in 0..pkts_per_flow {
