@@ -2,9 +2,9 @@
 //!
 //! The paper's feasibility argument (§II, Fig. 7) is an arithmetic over
 //! memory latencies: the regulator must throttle WSAF insertions below
-//! what DRAM's random access can absorb. Everywhere else in the workspace
-//! that arithmetic runs on *paper constants* (80 ns DRAM, 5 ns SRAM).
-//! This crate closes the loop with three layers:
+//! what DRAM's random access can absorb. This crate is the one place that
+//! arithmetic runs ([`margin`]), on measured or paper latencies, in three
+//! layers:
 //!
 //! * [`calibrate`] — a startup microbenchmark suite that measures **this
 //!   host**: effective random-access latency across working-set sizes
@@ -36,7 +36,7 @@ pub mod solver;
 
 pub use calibrate::{calibrate, CalibrationOptions};
 pub use profile::{LatencyPoint, MachineProfile, ProfileError};
-pub use solver::{measured_epsilon, solve, zipf_sizes, TunePlan, TuneRequest, TuneTarget};
+pub use solver::{margin, measured_epsilon, solve, zipf_sizes, TunePlan, TuneRequest, TuneTarget};
 
 /// Environment variable that switches the calibrator to its fast bounded
 /// smoke mode (any value other than `0` enables it).

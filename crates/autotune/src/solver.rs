@@ -1,7 +1,6 @@
 //! The profile-driven configuration search.
 //!
-//! Extends `instameasure_core::planner` from its fixed-latency
-//! `MarginAnalysis` into a machine-profiled solver: given a calibrated
+//! The one place a deployment is planned: given a calibrated
 //! [`MachineProfile`], an operator target (an `(epsilon, delta)` accuracy
 //! statement or a raw pps budget) and a sample of the workload's flow
 //! sizes, [`solve`] searches vector bits × layer count × WSAF capacity and
@@ -15,8 +14,9 @@
 //! workloads solve in milliseconds rather than re-running the `O(s·b)` DP
 //! per candidate. Feasibility margins use the measured latency at the
 //! WSAF's *resident size* (table + the regulator layers co-resident with
-//! it), and the probe chain accesses of the configured layer count — the
-//! same honest accounting `planner::plan_regulator` switched to.
+//! it), and the probe chain accesses of the configured layer count
+//! (`instameasure_sketch::analysis::expected_probes_per_insert`'s
+//! accounting), priced by [`margin`].
 //!
 //! **Accuracy** — a conservative first-order error model, validated
 //! end-to-end in the test suite: every release quantizes a flow's count
@@ -36,7 +36,7 @@
 //! property-tested).
 
 use instameasure_core::{InstaMeasure, InstaMeasureConfig, InstaMeasureConfigError};
-use instameasure_memmodel::{MarginAnalysis, MemoryTechnology};
+use instameasure_sketch::analysis::WSAF_ACCESSES_PER_INSERT;
 use instameasure_sketch::{FilterKind, SketchConfig};
 
 use crate::profile::{MachineProfile, ProfileError};
@@ -449,6 +449,31 @@ fn effective_epsilon(epsilon: f64, delta: f64) -> f64 {
     epsilon / (1.0 + (1.0 / delta).ln() / 10.0)
 }
 
+/// The WSAF's feasibility margin (the paper's §II / Fig. 7 argument):
+/// random accesses per second the memory serves at `access_nanos`, over
+/// the accesses the insertion stream demands — `pps × regulation_rate`
+/// insertions of `probes_per_insert` accesses each. ≥ 1 means the table
+/// keeps up; zero demand is infinitely feasible.
+///
+/// # Panics
+///
+/// Panics if `pps` is negative, `regulation_rate` is outside `[0, 1]`,
+/// `probes_per_insert` is below 1, or `access_nanos` is not finite and
+/// positive.
+#[must_use]
+pub fn margin(pps: f64, regulation_rate: f64, probes_per_insert: f64, access_nanos: f64) -> f64 {
+    assert!(pps >= 0.0, "pps must be non-negative");
+    assert!((0.0..=1.0).contains(&regulation_rate), "regulation rate must be in [0,1]");
+    assert!(probes_per_insert >= 1.0, "probes per insert must be >= 1");
+    assert!(access_nanos.is_finite() && access_nanos > 0.0, "access latency must be positive");
+    let demand = (pps * regulation_rate) * probes_per_insert;
+    if demand == 0.0 {
+        f64::INFINITY
+    } else {
+        (1e9 / access_nanos) / demand
+    }
+}
+
 /// Searches for the cheapest configuration meeting the request on the
 /// measured machine, `None` when nothing in the space fits (or the
 /// request itself is malformed). Candidates are ordered fewest-layers
@@ -503,16 +528,16 @@ pub fn solve(
             };
             let rate = rate_at(layers);
             let l1_rate = if layers == 1 { rate } else { rate_at(1) };
-            // Mirror the planner: a deep cascade that truncates real
-            // traffic to zero insertions is a model artifact, not a plan.
+            // A deep cascade that truncates real traffic to zero
+            // insertions is a model artifact, not a plan.
             if rate <= 0.0 && l1_rate > 0.0 {
                 continue;
             }
             let probes_per_insert = if rate > 0.0 {
                 let feed: f64 = (1..layers).map(rate_at).sum();
-                (feed + 2.0 * rate) / rate
+                (feed + WSAF_ACCESSES_PER_INSERT * rate) / rate
             } else {
-                2.0
+                WSAF_ACCESSES_PER_INSERT
             };
 
             // The slow-memory working set: the WSAF plus the regulator
@@ -521,10 +546,7 @@ pub fn solve(
             let deep_bytes = l1_memory_bytes * noise_classes * u64::from(layers - 1);
             let access_nanos = profile.latency_ns(wsaf_bytes + deep_bytes);
 
-            let margin = MarginAnalysis::new(req.pps, rate.min(1.0), MemoryTechnology::Dram)
-                .with_probes_per_insert(probes_per_insert.max(1.0))
-                .with_access_nanos(access_nanos)
-                .margin();
+            let margin = margin(req.pps, rate.min(1.0), probes_per_insert.max(1.0), access_nanos);
             if margin >= req.min_margin {
                 return Some(TunePlan {
                     l1_memory_bytes,
@@ -616,6 +638,56 @@ mod tests {
 
     fn workload() -> Vec<u64> {
         zipf_sizes(20_000, 100_000)
+    }
+
+    #[test]
+    fn flowregulator_rate_is_feasible_in_dram_rcc_is_not() {
+        // The paper's headline argument at a 40 GbE worst-case line rate
+        // (~59.5 Mpps of 64-byte packets): DRAM absorbs FlowRegulator's
+        // ~1% insertion stream but not RCC's 12–19%.
+        let (line_rate, dram) = (59.5e6, paper().dram_ns());
+        let fr = margin(line_rate, 0.0102, 2.0, dram);
+        assert!(fr >= 1.0, "FR margin {fr}");
+        let rcc = margin(line_rate, 0.12, 2.0, dram);
+        assert!(rcc < 1.0, "RCC margin {rcc}");
+    }
+
+    #[test]
+    fn zero_demand_is_infinitely_feasible() {
+        assert_eq!(margin(0.0, 0.5, 1.0, 80.0), f64::INFINITY);
+        assert_eq!(margin(1.0e6, 0.0, 2.0, 80.0), f64::INFINITY);
+    }
+
+    #[test]
+    fn margin_scales_inversely_with_latency() {
+        // A host whose DRAM measures 100 ns has proportionally less margin.
+        let paper_margin = margin(1.0e6, 0.05, 1.0, 80.0);
+        let measured = margin(1.0e6, 0.05, 1.0, 100.0);
+        assert!((measured - paper_margin * 0.8).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "regulation rate must be in [0,1]")]
+    fn margin_rejects_bad_regulation_rate() {
+        let _ = margin(1.0, 1.5, 1.0, 80.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "probes per insert must be >= 1")]
+    fn margin_rejects_fewer_than_one_probe() {
+        let _ = margin(1.0, 0.5, 0.5, 80.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "access latency must be positive")]
+    fn margin_rejects_nonpositive_latency() {
+        let _ = margin(1.0, 0.5, 1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "access latency must be positive")]
+    fn margin_rejects_non_finite_latency() {
+        let _ = margin(1.0, 0.5, 1.0, f64::NAN);
     }
 
     #[test]

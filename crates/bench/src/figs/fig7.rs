@@ -1,8 +1,7 @@
 //! Fig. 7 — WSAF ips relaxation: FlowRegulator passes ~1% of packets to
 //! the WSAF where RCC passes ~12%, leaving DRAM ample margin.
 
-use instameasure_autotune::MachineProfile;
-use instameasure_memmodel::{MarginAnalysis, MemoryTechnology};
+use instameasure_autotune::{margin, MachineProfile};
 use instameasure_sketch::{FlowFilter, FlowRegulator, FlowRegulatorOptions, SketchConfig};
 use instameasure_traffic::presets::caida_like;
 
@@ -104,14 +103,8 @@ pub fn run(args: &BenchArgs) -> Snapshot {
              INSTAMEASURE_PROFILE at a calibrated profile to use this host's)"
         ),
     }
-    let margin_for = |rate: f64, probes: f64| {
-        let mut m = MarginAnalysis::new(pps, rate, MemoryTechnology::Dram)
-            .with_probes_per_insert(probes.max(1.0));
-        if let Some(ns) = measured_ns {
-            m = m.with_access_nanos(ns);
-        }
-        m.margin()
-    };
+    let access_ns = measured_ns.unwrap_or_else(|| MachineProfile::paper().dram_ns());
+    let margin_for = |rate: f64, probes: f64| margin(pps, rate, probes.max(1.0), access_ns);
     let fr_margin = margin_for(fr_rate, fr_probes);
     let rcc_margin = margin_for(rcc_rate, rcc_probes);
     println!("# DRAM margin at trace pps: FR {fr_margin:.1}x, RCC {rcc_margin:.1}x");

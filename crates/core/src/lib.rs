@@ -31,9 +31,6 @@
 //!   reports (the paper's 10-minute update mode).
 //! * [`collector`] — the conventional delegation architecture (sketch
 //!   shipped to a remote collector each epoch), priced in latency and bytes.
-//! * [`planner`] — picks (vector size, layer count) for a link's rate and
-//!   WSAF memory technology using the exact chain model (§V-B's margin
-//!   remark, operationalized).
 //!
 //! # Example
 //!
@@ -67,7 +64,6 @@ pub mod ingest;
 pub mod latency;
 pub mod metrics;
 pub mod multicore;
-pub mod planner;
 pub mod ring;
 pub mod snapshot;
 mod system;

@@ -63,7 +63,6 @@ pub struct WindowReport {
 #[derive(Debug)]
 pub struct WindowedMeasurement {
     system: InstaMeasure,
-    cfg: InstaMeasureConfig,
     window_nanos: u64,
     top_k: usize,
     window_start: u64,
@@ -85,7 +84,6 @@ impl WindowedMeasurement {
         assert!(window_nanos > 0, "window must be positive");
         WindowedMeasurement {
             system: InstaMeasure::new(cfg),
-            cfg,
             window_nanos,
             top_k,
             window_start: 0,
@@ -157,7 +155,7 @@ impl WindowedMeasurement {
         // Fold the outgoing window's counters into the run-level totals
         // first — rotation must not lose telemetry.
         self.closed_telemetry.merge(&self.system.telemetry());
-        self.system = InstaMeasure::new(self.cfg);
+        self.system.reset();
         self.window_start = end;
         self.window_packets = 0;
         self.updates_at_window_start = 0;

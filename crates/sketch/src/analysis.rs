@@ -193,8 +193,8 @@ pub const WSAF_ACCESSES_PER_INSERT: f64 = 2.0;
 /// collapses to exactly [`WSAF_ACCESSES_PER_INSERT`] — the old constant
 /// was only ever right for plain RCC. Deeper cascades grow *more*
 /// expensive per insertion (the layer-2 feed rate dominates), which is why
-/// the planner cannot buy margin with depth alone when the intermediate
-/// layers share the WSAF's memory.
+/// the auto-tuner's solver cannot buy margin with depth alone when the
+/// intermediate layers share the WSAF's memory.
 ///
 /// Returns [`WSAF_ACCESSES_PER_INSERT`] when the workload produces no
 /// insertions at all (the chain is never walked).

@@ -5,29 +5,27 @@
 //! cargo run --release --example deployment_planner
 //! ```
 //!
-//! By default the DRAM rows use the paper's 80 ns random-access constant.
-//! Pass `--profile PATH` (a profile written by `instameasure tune`) to
-//! re-plan the DRAM rows against this host's *measured* latency instead:
+//! By default the plans run on the paper's memory hierarchy (80 ns DRAM
+//! plateau). Pass `--profile PATH` (a profile written by `instameasure
+//! tune`) to plan against this host's *measured* latencies instead:
 //!
 //! ```text
 //! instameasure tune            # calibrates and caches the profile
 //! cargo run --release --example deployment_planner -- --profile /tmp/instameasure-profile-v1.txt
 //! ```
 
-use instameasure::autotune::MachineProfile;
-use instameasure::core::planner::{plan_regulator, plan_regulator_measured, Plan};
-use instameasure::memmodel::MemoryTechnology;
+use instameasure::autotune::{solve, MachineProfile, TuneRequest};
 use instameasure::traffic::presets::caida_like;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let profile =
-        args.iter().position(|a| a == "--profile").and_then(|i| args.get(i + 1)).map(|path| {
-            MachineProfile::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-                eprintln!("cannot load profile {path}: {e}");
-                std::process::exit(2);
-            })
-        });
+    let profile = match args.iter().position(|a| a == "--profile").and_then(|i| args.get(i + 1)) {
+        Some(path) => MachineProfile::load(std::path::Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("cannot load profile {path}: {e}");
+            std::process::exit(2);
+        }),
+        None => MachineProfile::paper(),
+    };
 
     // Workload sample: flow sizes from a prior measurement window.
     let trace = caida_like(0.02, 7);
@@ -37,47 +35,31 @@ fn main() {
         sizes.len(),
         sizes.iter().sum::<u64>() as f64 / sizes.len() as f64
     );
-    match &profile {
-        Some(p) => println!(
-            "DRAM latency: {:.1} ns measured (calibrated profile; SRAM/TCAM rows keep paper constants)",
-            p.dram_ns()
-        ),
-        None => println!("DRAM latency: 80.0 ns (paper constant; pass --profile to use a calibrated one)"),
-    }
+    println!("DRAM latency: {:.1} ns", profile.dram_ns());
 
     println!(
-        "\n{:<26} {:>10} {:>8} {:>8} {:>12} {:>9}",
-        "link / WSAF memory", "pps", "vector", "layers", "regulation", "margin"
+        "\n{:<16} {:>10} {:>8} {:>8} {:>8} {:>10} {:>12} {:>9}",
+        "link / WSAF", "pps", "L1", "vector", "layers", "wsaf log2", "regulation", "margin"
     );
-    for (name, pps, tech) in [
-        ("1 GbE / DRAM", 1.488e6, MemoryTechnology::Dram),
-        ("10 GbE / DRAM", 14.88e6, MemoryTechnology::Dram),
-        ("40 GbE / DRAM", 59.5e6, MemoryTechnology::Dram),
-        ("100 GbE / DRAM", 148.8e6, MemoryTechnology::Dram),
-        ("100 GbE / SRAM", 148.8e6, MemoryTechnology::Sram),
-        ("100 GbE / TCAM", 148.8e6, MemoryTechnology::Tcam),
+    for (name, pps) in [
+        ("1 GbE / DRAM", 1.488e6),
+        ("10 GbE / DRAM", 14.88e6),
+        ("40 GbE / DRAM", 59.5e6),
+        ("100 GbE / DRAM", 148.8e6),
     ] {
-        // The calibrated profile only replaces the DRAM rows: the measured
-        // ladder describes this host's cache/DRAM hierarchy, not an SRAM
-        // or TCAM part it doesn't have.
-        let plan: Option<Plan> = match (&profile, tech) {
-            (Some(p), MemoryTechnology::Dram) => {
-                plan_regulator_measured(pps, p.dram_ns(), &sizes, 3.0)
-            }
-            _ => plan_regulator(pps, tech, &sizes, 3.0),
-        };
-        match plan {
+        match solve(&profile, &TuneRequest::throughput(pps, 3.0), &sizes) {
             Some(p) => println!(
-                "{:<26} {:>10.2e} {:>7}b {:>8} {:>11.3}% {:>8.1}x",
+                "{:<16} {:>10.2e} {:>6}KB {:>7}b {:>8} {:>10} {:>11.3}% {:>8.1}x",
                 name,
                 pps,
+                p.l1_memory_bytes / 1024,
                 p.vector_bits,
                 p.layers,
+                p.wsaf_entries_log2,
                 p.predicted_regulation * 100.0,
                 p.margin
             ),
-            None => println!("{name:<26} {pps:>10.2e}  -- no feasible plan --"),
+            None => println!("{name:<16} {pps:>10.2e}  -- no feasible plan --"),
         }
     }
-    println!("\n(the paper's design point — 8-bit vectors, 2 layers — covers 10-100 GbE in DRAM)");
 }

@@ -20,7 +20,6 @@
 //! | [`packet`] | `instameasure-packet` | 5-tuples, parsers, pcap I/O |
 //! | [`sketch`] | `instameasure-sketch` | RCC and the FlowRegulator |
 //! | [`wsaf`] | `instameasure-wsaf` | the in-DRAM flow table |
-//! | [`memmodel`] | `instameasure-memmodel` | DRAM/SRAM/TCAM margins |
 //! | [`traffic`] | `instameasure-traffic` | synthetic trace generation |
 //! | [`baselines`] | `instameasure-baselines` | CSM, sampled NetFlow, exact |
 //! | [`core`] | `instameasure-core` | the full system, multi-core, detection |
@@ -55,7 +54,6 @@
 pub use instameasure_autotune as autotune;
 pub use instameasure_baselines as baselines;
 pub use instameasure_core as core;
-pub use instameasure_memmodel as memmodel;
 pub use instameasure_packet as packet;
 pub use instameasure_service as service;
 pub use instameasure_sketch as sketch;
