@@ -6,7 +6,7 @@
 //! arithmetic runs ([`margin`]), on measured or paper latencies, in three
 //! layers:
 //!
-//! * [`calibrate`] — a startup microbenchmark suite that measures **this
+//! * [`calibrate`](mod@calibrate) — a startup microbenchmark suite that measures **this
 //!   host**: effective random-access latency across working-set sizes
 //!   (a pointer chase from 32 KB up to 1 GB traces the L1/L2/L3/DRAM
 //!   cliffs), [`instameasure_packet::FlowDigest`] hash throughput, and

@@ -18,6 +18,7 @@
 use std::time::{Duration, Instant};
 
 use instameasure_core::detect::{AnomalyKind, DetectorConfig};
+use instameasure_core::engine::EngineConfig;
 use instameasure_core::InstaMeasureConfig;
 use instameasure_service::server::{Server, ServiceConfig};
 use instameasure_service::{DetectionConfig, ServiceClient};
@@ -44,10 +45,13 @@ fn main() {
 
     let cfg = ServiceConfig::builder()
         .addr("127.0.0.1:0")
-        .workers(2)
-        .batch_size(512)
+        .engine(EngineConfig {
+            workers: 2,
+            batch_size: 512,
+            per_worker: InstaMeasureConfig::default().small_for_tests(),
+            ..EngineConfig::default()
+        })
         .read_timeout(Duration::from_secs(5))
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
         .detect(DetectionConfig { interval: None, detectors: DetectorConfig::default() })
         .build()
         .expect("static bench config is valid");

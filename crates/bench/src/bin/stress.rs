@@ -16,7 +16,8 @@ use std::time::Instant;
 use instameasure_bench::{
     fmt_count, main_entry, print_checks, BenchArgs, Instrumented, PaperCheck, Snapshot,
 };
-use instameasure_core::multicore::{run_multicore_stream, MultiCoreConfig};
+use instameasure_core::engine::{BackpressurePolicy, EngineConfig};
+use instameasure_core::multicore::run_multicore_stream;
 use instameasure_core::{InstaMeasure, InstaMeasureConfig};
 use instameasure_packet::chunk::{PcapChunkReader, RecordStream};
 use instameasure_packet::pcap::{read_records, PcapWriter, TsResolution};
@@ -103,14 +104,15 @@ fn run(args: &BenchArgs) -> Snapshot {
     println!("batch_size\tthroughput_mpps\tbatches_sent\tdropped");
     let mut batch_mpps = Vec::new();
     for batch_size in [1usize, 64, 256, 1024] {
-        let mc = MultiCoreConfig::builder()
-            .workers(4)
-            .queue_capacity(8192)
-            .batch_size(batch_size)
-            .per_worker(im_cfg)
-            .build()
-            .unwrap();
-        let (_, report) = run_multicore_stream(StreamingTrace::new(sweep_cfg), &mc);
+        let mc = EngineConfig {
+            workers: 4,
+            batch_size,
+            queue_batches: 8192usize.div_ceil(batch_size),
+            per_worker: im_cfg,
+            ..EngineConfig::default()
+        };
+        let (_, report) =
+            run_multicore_stream(StreamingTrace::new(sweep_cfg), &mc, BackpressurePolicy::Block);
         let batch_pps = report.throughput_pps / 1e6;
         println!("{batch_size}\t{batch_pps:.2}\t{}\t{}", report.batches_sent, report.dropped);
         batch_mpps.push(batch_pps);

@@ -15,7 +15,8 @@
 //! bottleneck. The differential test suite guarantees the sweep changes
 //! only speed, never results.
 
-use instameasure_core::multicore::{run_multicore, MultiCoreConfig};
+use instameasure_core::engine::EngineConfig;
+use instameasure_core::multicore::run_multicore;
 use instameasure_core::InstaMeasureConfig;
 use instameasure_sketch::SketchConfig;
 use instameasure_traffic::presets::caida_like;
@@ -52,12 +53,12 @@ pub fn run(args: &BenchArgs) -> Snapshot {
     let mut best = 0.0f64;
     let mut snap = Snapshot::new();
     for workers in 1..=4usize {
-        let cfg = MultiCoreConfig::builder()
-            .workers(workers)
-            .queue_capacity(8192)
-            .per_worker(per_worker_cfg(args.seed))
-            .build()
-            .unwrap();
+        let cfg = EngineConfig {
+            workers,
+            queue_batches: 32, // 8192 packets at the default batch size
+            per_worker: per_worker_cfg(args.seed),
+            ..EngineConfig::default()
+        };
         let (sys, report) = run_multicore(&trace.records, &cfg);
         if workers == 4 {
             // Keep the deepest run's live telemetry plus the merged shard
@@ -89,13 +90,13 @@ pub fn run(args: &BenchArgs) -> Snapshot {
     let batch_sizes = [1usize, 64, 256, 1024];
     let mut batch_mpps = Vec::with_capacity(batch_sizes.len());
     for &batch_size in &batch_sizes {
-        let cfg = MultiCoreConfig::builder()
-            .workers(sweep_workers)
-            .queue_capacity(8192)
-            .batch_size(batch_size)
-            .per_worker(per_worker_cfg(args.seed))
-            .build()
-            .unwrap();
+        let cfg = EngineConfig {
+            workers: sweep_workers,
+            batch_size,
+            queue_batches: 8192usize.div_ceil(batch_size),
+            per_worker: per_worker_cfg(args.seed),
+            ..EngineConfig::default()
+        };
         let (_, report) = run_multicore(&trace.records, &cfg);
         let mpps = report.throughput_pps / 1e6;
         println!("{batch_size}\t{mpps:.2}\t{}", report.batches_sent);

@@ -1,11 +1,13 @@
 //! The shard runtime of paper Fig. 5: thread-per-shard ownership,
 //! lock-free ingest, snapshot queries.
 //!
-//! One runtime serves both deployments. The live daemon boots an
-//! [`Engine`] and feeds it from many connections while queries run; the
-//! offline pipeline ([`crate::multicore::run_multicore_stream`]) boots the
-//! same engine, feeds one lane from its iterator, drains it and takes the
-//! shards' final states back from the worker threads. Each shard's
+//! One runtime serves both deployments, and one [`EngineConfig`]
+//! describes both (checked by [`EngineConfig::validate`]). The live
+//! daemon boots an [`Engine`] and feeds it from many connections while
+//! queries run; the offline pipeline
+//! ([`crate::multicore::run_multicore_stream`]) boots the same engine,
+//! feeds one lane from its iterator, drains it and takes the shards'
+//! final states back from the worker threads. Each shard's
 //! [`InstaMeasure`] is owned by exactly one worker thread, so no lock
 //! sits on the hot path:
 //!
@@ -55,7 +57,7 @@ use instameasure_telemetry::{
 };
 
 use crate::affinity;
-use crate::multicore::{worker_for, BackpressurePolicy, MAX_BATCH_SIZE};
+use crate::multicore::worker_for;
 use crate::ring::{ring, PushError, RingConsumer, RingProducer};
 use crate::snapshot::{SnapshotRef, SnapshotSlot};
 use crate::{InstaMeasure, InstaMeasureConfig};
@@ -75,21 +77,46 @@ const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 /// scheduler noise into wrong answers.
 const SNAPSHOT_PATIENCE: Duration = Duration::from_secs(2);
 
-/// Geometry of the shard runtime.
+/// Largest accepted [`EngineConfig::batch_size`]; beyond this a batch
+/// costs more cache than the ring synchronization it amortizes.
+pub const MAX_BATCH_SIZE: usize = 65_536;
+
+/// What a lane does when a shard's ring is full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BackpressurePolicy {
+    /// Spin until the worker drains (lossless; offline replay and every
+    /// daemon connection).
+    #[default]
+    Block,
+    /// Drop the batch and count its packets — how a real tap behaves when
+    /// overrun (the paper's mirror port "starts to drop packets when
+    /// port capacity is exceeded", §IV-B).
+    Drop,
+}
+
+/// Geometry of a sharded run (paper Fig. 5): `workers` shards, each with
+/// its own measurement memory and a bounded ring of `queue_batches`
+/// batches of `batch_size` packets feeding it. The one description of
+/// every sharded deployment — the offline drivers in
+/// [`crate::multicore`], the daemon and the benches all take it — and
+/// [`EngineConfig::validate`] is its one check.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker shard count.
+    /// Worker shard count (the paper evaluates 1–4).
     pub workers: usize,
-    /// Packets per dispatch batch (see
-    /// [`crate::multicore::MultiCoreConfig::batch_size`]).
+    /// Packets per dispatch batch, in `1..=`[`MAX_BATCH_SIZE`]. 1
+    /// degenerates to per-packet sends; the default 256 amortizes ring
+    /// synchronization ~256×.
     pub batch_size: usize,
-    /// Per-shard ring capacity in whole batches.
+    /// Per-shard ring capacity in whole batches (rounded up to a power of
+    /// two by the ring).
     pub queue_batches: usize,
     /// Pin worker `w` to CPU `w mod available` ([`affinity`]); off by
     /// default because it is an optimization that a best-effort failure
     /// silently skips.
     pub pin: bool,
-    /// Per-shard measurement configuration.
+    /// Per-shard measurement configuration (each shard gets its own
+    /// sketch and WSAF of this size).
     pub per_worker: InstaMeasureConfig,
 }
 
@@ -104,6 +131,66 @@ impl Default for EngineConfig {
         }
     }
 }
+
+impl EngineConfig {
+    /// Checks the geometry; [`Engine::start`] panics with this error's
+    /// message on a config that fails it.
+    ///
+    /// ```
+    /// use instameasure_core::engine::{EngineConfig, EngineConfigError};
+    ///
+    /// assert!(EngineConfig::default().validate().is_ok());
+    /// let cfg = EngineConfig { batch_size: 0, ..EngineConfig::default() };
+    /// assert_eq!(cfg.validate(), Err(EngineConfigError::BatchSize { got: 0 }));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineConfigError`] naming the first rejected field.
+    pub fn validate(&self) -> Result<(), EngineConfigError> {
+        if self.workers == 0 {
+            return Err(EngineConfigError::NoWorkers);
+        }
+        if self.batch_size == 0 || self.batch_size > MAX_BATCH_SIZE {
+            return Err(EngineConfigError::BatchSize { got: self.batch_size });
+        }
+        if self.queue_batches == 0 {
+            return Err(EngineConfigError::ZeroQueueBatches);
+        }
+        Ok(())
+    }
+}
+
+/// A rejected [`EngineConfig`] field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum EngineConfigError {
+    /// `workers` was zero.
+    NoWorkers,
+    /// `batch_size` was zero or above [`MAX_BATCH_SIZE`].
+    BatchSize {
+        /// The rejected value.
+        got: usize,
+    },
+    /// `queue_batches` was zero.
+    ZeroQueueBatches,
+}
+
+impl core::fmt::Display for EngineConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            EngineConfigError::NoWorkers => write!(f, "need at least one worker"),
+            EngineConfigError::BatchSize { got } => {
+                write!(f, "batch size must be in 1..={MAX_BATCH_SIZE}, got {got}")
+            }
+            EngineConfigError::ZeroQueueBatches => {
+                write!(f, "queue must hold at least one batch")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EngineConfigError {}
 
 /// The ingest side is closed (the daemon is draining); the submitted
 /// records were not accepted.
@@ -324,9 +411,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `workers`, `batch_size` or `queue_batches` is zero, or
-    /// `batch_size` exceeds [`MAX_BATCH_SIZE`] (server configs are
-    /// validated before they get here).
+    /// Panics with the [`EngineConfigError`] message if `cfg` fails
+    /// [`EngineConfig::validate`].
     #[must_use]
     pub fn start(cfg: &EngineConfig, registry: Arc<SharedRegistry>) -> Self {
         Self::boot(cfg, registry, false)
@@ -340,12 +426,9 @@ impl Engine {
     }
 
     fn boot(cfg: &EngineConfig, registry: Arc<SharedRegistry>, batch: bool) -> Self {
-        assert!(cfg.workers > 0, "need at least one worker");
-        assert!(
-            cfg.batch_size > 0 && cfg.batch_size <= MAX_BATCH_SIZE,
-            "batch size must be in 1..={MAX_BATCH_SIZE}"
-        );
-        assert!(cfg.queue_batches > 0, "ring must hold at least one batch");
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
 
         let shards: Vec<Arc<Shard>> = (0..cfg.workers)
             .map(|_| {
@@ -1238,6 +1321,38 @@ mod tests {
             per_worker: InstaMeasureConfig::default().small_for_tests(),
         };
         Engine::start(&cfg, Arc::new(SharedRegistry::new()))
+    }
+
+    #[test]
+    fn validate_rejects_each_bad_field_with_its_message() {
+        let base = EngineConfig::default();
+        assert_eq!(base.validate(), Ok(()));
+        let too_big = MAX_BATCH_SIZE + 1;
+        for (cfg, err, text) in [
+            (
+                EngineConfig { workers: 0, ..base },
+                EngineConfigError::NoWorkers,
+                "need at least one worker".to_string(),
+            ),
+            (
+                EngineConfig { batch_size: 0, ..base },
+                EngineConfigError::BatchSize { got: 0 },
+                format!("batch size must be in 1..={MAX_BATCH_SIZE}, got 0"),
+            ),
+            (
+                EngineConfig { batch_size: too_big, ..base },
+                EngineConfigError::BatchSize { got: too_big },
+                format!("batch size must be in 1..={MAX_BATCH_SIZE}, got {too_big}"),
+            ),
+            (
+                EngineConfig { queue_batches: 0, ..base },
+                EngineConfigError::ZeroQueueBatches,
+                "queue must hold at least one batch".to_string(),
+            ),
+        ] {
+            assert_eq!(cfg.validate(), Err(err));
+            assert_eq!(err.to_string(), text);
+        }
     }
 
     #[test]

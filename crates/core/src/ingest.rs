@@ -1,30 +1,24 @@
 //! Zero-copy pcap ingest bridged into the multi-core pipeline.
 //!
-//! [`run_multicore_pcap`] streams a capture file through
+//! [`run_multicore_pcap`] streams an opened capture through
 //! [`instameasure_packet::chunk::RecordStream`] — borrowed packet views
 //! parsed in place, no per-packet allocation — straight into
 //! [`crate::multicore::run_multicore_stream`]'s recycled dispatch batches,
 //! so the steady state of *file → frame → record → worker* allocates
-//! nothing per packet. The reader's [`IngestStats`] are folded into the run
+//! nothing per packet. The caller picks the byte path by how it opens the
+//! reader: [`PcapChunkReader::open`] maps the file (falling back to
+//! chunked reads), [`PcapChunkReader::from_reader`] takes the chunked
+//! copy path. The reader's [`IngestStats`] are folded into the run
 //! report's telemetry as `ingest.chunk_*` counters, next to the batching
 //! counters the pipeline already emits.
 
-use std::path::Path;
+use std::io::Read;
 
 use instameasure_packet::chunk::{IngestStats, PcapChunkReader, RecordStream};
 use instameasure_packet::pcap::PcapError;
 
-use crate::multicore::{run_multicore_stream, MultiCoreConfig, MultiCoreSystem, RunReport};
-
-/// Which ingest path [`run_multicore_pcap`] should take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestMode {
-    /// Map the whole file and parse borrowed views out of the mapping,
-    /// falling back to buffered reads if mapping fails.
-    Mmap,
-    /// Chunked buffered reads only (the explicit copy-path baseline).
-    Buffered,
-}
+use crate::engine::{BackpressurePolicy, EngineConfig};
+use crate::multicore::{run_multicore_stream, MultiCoreSystem, RunReport};
 
 /// What a zero-copy ingest run observed about the file itself.
 #[derive(Debug, Clone, Copy)]
@@ -39,8 +33,9 @@ pub struct PcapIngestReport {
     pub stats: IngestStats,
 }
 
-/// Streams a pcap file through the zero-copy reader into the multi-core
-/// pipeline, without materialising the record vector in between.
+/// Streams an opened capture through the zero-copy reader into the
+/// multi-core pipeline, losslessly, without materialising the record
+/// vector in between.
 ///
 /// The returned [`RunReport`]'s telemetry gains `ingest.chunk_fills`,
 /// `ingest.chunk_bytes_mapped`, `ingest.chunk_copy_fallbacks` and
@@ -48,27 +43,21 @@ pub struct PcapIngestReport {
 ///
 /// # Errors
 ///
-/// Returns [`PcapError`] if the file cannot be opened, its global header is
-/// invalid, or a record is truncated/corrupt mid-stream. Pipeline output up
-/// to a mid-stream error is discarded: corrupt input should not masquerade
-/// as a complete measurement.
+/// Returns [`PcapError`] if a record is truncated or corrupt mid-stream.
+/// Pipeline output up to such an error is discarded: corrupt input should
+/// not masquerade as a complete measurement.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as
-/// [`run_multicore_stream`][crate::multicore::run_multicore_stream]
-/// (invalid config or a worker thread panic).
-pub fn run_multicore_pcap(
-    path: impl AsRef<Path>,
-    mode: IngestMode,
-    cfg: &MultiCoreConfig,
+/// [`run_multicore_stream`] (invalid config or a worker thread panic).
+pub fn run_multicore_pcap<R: Read>(
+    reader: PcapChunkReader<R>,
+    cfg: &EngineConfig,
 ) -> Result<(MultiCoreSystem, RunReport, PcapIngestReport), PcapError> {
-    let reader = match mode {
-        IngestMode::Mmap => PcapChunkReader::open(path)?,
-        IngestMode::Buffered => PcapChunkReader::open_buffered(path)?,
-    };
     let mut stream = RecordStream::new(reader);
-    let (system, mut report) = run_multicore_stream(stream.by_ref(), cfg);
+    let (system, mut report) =
+        run_multicore_stream(stream.by_ref(), cfg, BackpressurePolicy::Block);
     let skipped = stream.skipped();
     let last_ts = stream.last_ts_nanos();
     let (_, stats) = stream.finish()?;
@@ -118,13 +107,25 @@ mod tests {
     fn pcap_bridge_counts_match_owned_reader() {
         let path = temp("bridge.pcap");
         write_sample(&path, 500);
-        let cfg = MultiCoreConfig::builder().workers(2).batch_size(32).build().unwrap();
-        for mode in [IngestMode::Mmap, IngestMode::Buffered] {
-            let (_, report, ingest) = run_multicore_pcap(&path, mode, &cfg).unwrap();
+        let cfg = EngineConfig {
+            workers: 2,
+            batch_size: 32,
+            queue_batches: 4096usize.div_ceil(32),
+            ..EngineConfig::default()
+        };
+        let readers = [
+            ("mmap", PcapChunkReader::open(&path).unwrap()),
+            (
+                "buffered",
+                PcapChunkReader::from_reader(std::fs::File::open(&path).unwrap()).unwrap(),
+            ),
+        ];
+        for (mode, reader) in readers {
+            let (_, report, ingest) = run_multicore_pcap(reader, &cfg).unwrap();
             let (expected, skipped) =
                 read_records(std::fs::File::open(&path).map(std::io::BufReader::new).unwrap())
                     .unwrap();
-            assert_eq!(report.packets, expected.len() as u64, "{mode:?}");
+            assert_eq!(report.packets, expected.len() as u64, "{mode}");
             assert_eq!(ingest.skipped_frames, skipped);
             assert_eq!(ingest.records, expected.len() as u64);
             assert_eq!(ingest.last_ts_nanos, expected.last().unwrap().ts_nanos);
@@ -149,8 +150,8 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[0u8; 16]); // zeroed tail record
         std::fs::write(&path, bytes).unwrap();
-        let cfg = MultiCoreConfig::builder().workers(1).build().unwrap();
-        assert!(run_multicore_pcap(&path, IngestMode::Mmap, &cfg).is_err());
+        let cfg = EngineConfig { workers: 1, ..EngineConfig::default() };
+        assert!(run_multicore_pcap(PcapChunkReader::open(&path).unwrap(), &cfg).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -11,9 +11,10 @@
 //!   lock-free SPSC rings ([`ring`]), to worker threads that own their
 //!   FlowRegulator and WSAF shard outright; queries read epoch-stamped
 //!   snapshots ([`snapshot`]). The live daemon and the offline pipeline
-//!   both run it.
-//! * [`multicore`] — the offline driver over that runtime: one finite
-//!   packet stream in, the merged shards and a run report out.
+//!   both run it, both described by one [`engine::EngineConfig`].
+//! * [`multicore`] — the offline drivers over that runtime: one finite
+//!   packet stream and an [`engine::EngineConfig`] in, the merged shards
+//!   and a run report out. [`ingest`] feeds them straight from a pcap.
 //! * [`heavy_hitter`] — threshold detection over the WSAF, in packets and
 //!   in bytes, with false-positive/negative evaluation (Fig. 14).
 //! * [`latency`] — the three decoding disciplines of §II (packet-arrival,

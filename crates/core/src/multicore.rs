@@ -8,10 +8,11 @@
 //! contend on counter memory, exactly as the paper allocates "memory
 //! blocks exclusively to each worker core".
 //!
-//! [`run_multicore_stream`] is the offline driver over the shard runtime
-//! in [`crate::engine`], the same one the live daemon runs: it boots an
-//! [`Engine`], feeds one [`crate::engine::IngestLane`] from its iterator,
-//! drains the engine and takes each worker's final state back from its
+//! [`run_multicore`] and [`run_multicore_stream`] are the offline drivers
+//! over the shard runtime in [`crate::engine`], the same one the live
+//! daemon runs, and take the same [`EngineConfig`]: they boot an
+//! [`Engine`], feed one [`crate::engine::IngestLane`] from their input,
+//! drain the engine and take each worker's final state back from its
 //! thread.
 //!
 //! # Batched dispatch
@@ -20,7 +21,7 @@
 //! the hot path long before the sketch is (the same economics that give
 //! PriMe its SRAM front buffer: amortize per-item transfer cost into
 //! batches). The lane therefore accumulates packets into per-worker batch
-//! buffers of [`MultiCoreConfig::batch_size`] packets and ships whole
+//! buffers of [`EngineConfig::batch_size`] packets and ships whole
 //! `Vec<PacketRecord>` batches; a worker drains a whole batch into its
 //! [`InstaMeasure`] before touching its ring again. Buffers are recycled
 //! through a return ring so the steady state allocates nothing.
@@ -46,177 +47,8 @@ use instameasure_telemetry::{
     HistogramSnapshot, Instrumented, LogHistogram, MetricValue, SharedRegistry, Snapshot,
 };
 
-use crate::engine::{merge_top_k, Engine, EngineConfig};
-use crate::{InstaMeasure, InstaMeasureConfig};
-
-/// Largest accepted [`MultiCoreConfig::batch_size`]; beyond this a batch
-/// costs more cache than the ring synchronization it amortizes.
-pub const MAX_BATCH_SIZE: usize = 65_536;
-
-/// What the dispatcher does when a worker's ring is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Block until the worker drains (lossless; offline replay mode).
-    #[default]
-    Block,
-    /// Drop the batch and count its packets — how a real tap behaves when
-    /// overrun (the paper's mirror port "starts to drop packets when
-    /// port capacity is exceeded", §IV-B).
-    Drop,
-}
-
-/// Configuration of the multi-core system.
-///
-/// Construct via [`MultiCoreConfig::builder`] for validated parameters, or
-/// as a struct literal when the values are known-good constants.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiCoreConfig {
-    /// Number of worker threads (the paper evaluates 1–4).
-    pub workers: usize,
-    /// Capacity of each worker's FIFO queue, in packets (rounded up to a
-    /// whole number of batches, and the batch count to a power of two).
-    pub queue_capacity: usize,
-    /// Packets per dispatch batch. 1 degenerates to per-packet sends;
-    /// the default 256 amortizes ring synchronization ~256×.
-    pub batch_size: usize,
-    /// Per-worker measurement configuration (each worker gets its own
-    /// sketch and WSAF shard of this size).
-    pub per_worker: InstaMeasureConfig,
-    /// Full-queue behaviour.
-    pub backpressure: BackpressurePolicy,
-}
-
-impl Default for MultiCoreConfig {
-    fn default() -> Self {
-        MultiCoreConfig {
-            workers: 4,
-            queue_capacity: 4096,
-            batch_size: 256,
-            per_worker: InstaMeasureConfig::default(),
-            backpressure: BackpressurePolicy::Block,
-        }
-    }
-}
-
-impl MultiCoreConfig {
-    /// Starts building a validated config from the defaults.
-    #[must_use]
-    pub fn builder() -> MultiCoreConfigBuilder {
-        MultiCoreConfigBuilder::default()
-    }
-
-    /// Per-worker ring capacity in batches (at least one).
-    #[must_use]
-    pub(crate) fn queue_batches(&self) -> usize {
-        self.queue_capacity.div_ceil(self.batch_size).max(1)
-    }
-}
-
-/// Rejected [`MultiCoreConfigBuilder`] parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum MultiCoreConfigError {
-    /// `workers` was zero.
-    NoWorkers,
-    /// `queue_capacity` was zero.
-    ZeroQueueCapacity,
-    /// `batch_size` was zero or above [`MAX_BATCH_SIZE`].
-    BatchSize {
-        /// The rejected value.
-        got: usize,
-    },
-}
-
-impl core::fmt::Display for MultiCoreConfigError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            MultiCoreConfigError::NoWorkers => write!(f, "need at least one worker"),
-            MultiCoreConfigError::ZeroQueueCapacity => {
-                write!(f, "queue capacity must be at least one packet")
-            }
-            MultiCoreConfigError::BatchSize { got } => {
-                write!(f, "batch size must be in 1..={MAX_BATCH_SIZE}, got {got}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MultiCoreConfigError {}
-
-/// Validating builder for [`MultiCoreConfig`].
-///
-/// ```
-/// use instameasure_core::multicore::MultiCoreConfig;
-/// use instameasure_core::InstaMeasureConfig;
-///
-/// let cfg = MultiCoreConfig::builder()
-///     .workers(2)
-///     .batch_size(64)
-///     .per_worker(InstaMeasureConfig::default().small_for_tests())
-///     .build()?;
-/// assert_eq!(cfg.batch_size, 64);
-/// assert!(MultiCoreConfig::builder().batch_size(0).build().is_err());
-/// # Ok::<(), instameasure_core::multicore::MultiCoreConfigError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MultiCoreConfigBuilder {
-    cfg: MultiCoreConfig,
-}
-
-impl MultiCoreConfigBuilder {
-    /// Sets the worker count (default 4).
-    #[must_use]
-    pub fn workers(mut self, n: usize) -> Self {
-        self.cfg.workers = n;
-        self
-    }
-
-    /// Sets the per-worker queue capacity in packets (default 4096).
-    #[must_use]
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.cfg.queue_capacity = n;
-        self
-    }
-
-    /// Sets the dispatch batch size in packets (default 256).
-    #[must_use]
-    pub fn batch_size(mut self, n: usize) -> Self {
-        self.cfg.batch_size = n;
-        self
-    }
-
-    /// Sets the per-worker measurement configuration.
-    #[must_use]
-    pub fn per_worker(mut self, cfg: InstaMeasureConfig) -> Self {
-        self.cfg.per_worker = cfg;
-        self
-    }
-
-    /// Sets the full-queue behaviour (default [`BackpressurePolicy::Block`]).
-    #[must_use]
-    pub fn backpressure(mut self, policy: BackpressurePolicy) -> Self {
-        self.cfg.backpressure = policy;
-        self
-    }
-
-    /// Validates and returns the config.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MultiCoreConfigError`] naming the rejected parameter.
-    pub fn build(self) -> Result<MultiCoreConfig, MultiCoreConfigError> {
-        if self.cfg.workers == 0 {
-            return Err(MultiCoreConfigError::NoWorkers);
-        }
-        if self.cfg.queue_capacity == 0 {
-            return Err(MultiCoreConfigError::ZeroQueueCapacity);
-        }
-        if self.cfg.batch_size == 0 || self.cfg.batch_size > MAX_BATCH_SIZE {
-            return Err(MultiCoreConfigError::BatchSize { got: self.cfg.batch_size });
-        }
-        Ok(self.cfg)
-    }
-}
+use crate::engine::{merge_top_k, BackpressurePolicy, Engine, EngineConfig};
+use crate::InstaMeasure;
 
 /// Routes a flow to its worker: popcount of the source address mod `N`
 /// (paper §IV-C: "the number of 1 bits of source IP address is used to
@@ -365,56 +197,44 @@ impl RunReport {
 }
 
 /// Runs the sharded pipeline over a pre-loaded packet stream (the paper
-/// pre-loads the CAIDA trace into memory for its speed tests, §V-B) and
-/// returns the merged measurement plus the run report.
+/// pre-loads the CAIDA trace into memory for its speed tests, §V-B),
+/// losslessly, and returns the merged measurement plus the run report.
 ///
 /// # Panics
 ///
-/// Panics if the config is invalid (would be rejected by
-/// [`MultiCoreConfig::builder`]) or a worker thread panics.
+/// Panics if `cfg` fails [`EngineConfig::validate`] or a worker thread
+/// panics.
 #[must_use]
-pub fn run_multicore(
-    records: &[PacketRecord],
-    cfg: &MultiCoreConfig,
-) -> (MultiCoreSystem, RunReport) {
-    run_multicore_stream(records.iter().copied(), cfg)
+pub fn run_multicore(records: &[PacketRecord], cfg: &EngineConfig) -> (MultiCoreSystem, RunReport) {
+    run_multicore_stream(records.iter().copied(), cfg, BackpressurePolicy::Block)
 }
 
 /// Streaming variant of [`run_multicore`]: ingests packets from any
 /// iterator, so arbitrarily long traces flow through the pipeline with
 /// O(batch × workers) dispatch memory (the `stress` bench streams tens of
-/// millions of packets this way).
+/// millions of packets this way), under a chosen full-ring `policy`.
 ///
 /// # Panics
 ///
-/// Panics if the config is invalid (would be rejected by
-/// [`MultiCoreConfig::builder`]) or a worker thread panics.
+/// Panics if `cfg` fails [`EngineConfig::validate`] or a worker thread
+/// panics.
 #[must_use]
-pub fn run_multicore_stream<I>(packets: I, cfg: &MultiCoreConfig) -> (MultiCoreSystem, RunReport)
+pub fn run_multicore_stream<I>(
+    packets: I,
+    cfg: &EngineConfig,
+    policy: BackpressurePolicy,
+) -> (MultiCoreSystem, RunReport)
 where
     I: IntoIterator<Item = PacketRecord>,
 {
-    assert!(cfg.workers > 0, "need at least one worker");
-    assert!(
-        cfg.batch_size > 0 && cfg.batch_size <= MAX_BATCH_SIZE,
-        "batch size must be in 1..={MAX_BATCH_SIZE}"
-    );
-    assert!(cfg.queue_capacity > 0, "queue capacity must be at least one packet");
     let sample_every = 8192;
-    let engine_cfg = EngineConfig {
-        workers: cfg.workers,
-        batch_size: cfg.batch_size,
-        queue_batches: cfg.queue_batches(),
-        pin: false,
-        per_worker: cfg.per_worker,
-    };
     let registry = Arc::new(SharedRegistry::new());
     let mut queue_depth = LogHistogram::new();
     let mut queue_depth_samples = Vec::new();
 
     let start = Instant::now();
-    let engine = Engine::start_batch(&engine_cfg, Arc::clone(&registry));
-    let mut lane = engine.lane_with(cfg.backpressure).expect("a fresh engine is open");
+    let engine = Engine::start_batch(cfg, Arc::clone(&registry));
+    let mut lane = engine.lane_with(policy).expect("a fresh engine is open");
     for (offered, pkt) in packets.into_iter().enumerate() {
         lane.push(pkt).expect("only this driver drains its engine");
         if offered.is_multiple_of(sample_every) {
@@ -485,20 +305,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InstaMeasureConfig;
     use instameasure_packet::Protocol;
 
     fn key(i: u32) -> FlowKey {
         FlowKey::new(i.to_be_bytes(), [5, 5, 5, 5], 1000, 80, Protocol::Tcp)
     }
 
-    fn cfg(workers: usize) -> MultiCoreConfig {
-        MultiCoreConfig {
+    /// Shard geometry with the ring sized as `queue_packets` packets.
+    fn sized(workers: usize, queue_packets: usize, batch_size: usize) -> EngineConfig {
+        EngineConfig {
             workers,
-            queue_capacity: 1024,
-            batch_size: 256,
+            batch_size,
+            queue_batches: queue_packets.div_ceil(batch_size),
+            pin: false,
             per_worker: InstaMeasureConfig::default().small_for_tests(),
-            backpressure: BackpressurePolicy::Block,
         }
+    }
+
+    fn cfg(workers: usize) -> EngineConfig {
+        sized(workers, 1024, 256)
     }
 
     #[test]
@@ -508,37 +334,6 @@ mod tests {
             assert!(w < 4);
             assert_eq!(w, worker_for(&key(i), 4));
         }
-    }
-
-    #[test]
-    fn builder_validates_every_knob() {
-        assert!(MultiCoreConfig::builder().build().is_ok());
-        assert_eq!(
-            MultiCoreConfig::builder().workers(0).build().unwrap_err(),
-            MultiCoreConfigError::NoWorkers
-        );
-        assert_eq!(
-            MultiCoreConfig::builder().queue_capacity(0).build().unwrap_err(),
-            MultiCoreConfigError::ZeroQueueCapacity
-        );
-        assert_eq!(
-            MultiCoreConfig::builder().batch_size(0).build().unwrap_err(),
-            MultiCoreConfigError::BatchSize { got: 0 }
-        );
-        assert_eq!(
-            MultiCoreConfig::builder().batch_size(MAX_BATCH_SIZE + 1).build().unwrap_err(),
-            MultiCoreConfigError::BatchSize { got: MAX_BATCH_SIZE + 1 }
-        );
-        let cfg = MultiCoreConfig::builder()
-            .workers(2)
-            .queue_capacity(100)
-            .batch_size(64)
-            .backpressure(BackpressurePolicy::Drop)
-            .build()
-            .unwrap();
-        assert_eq!((cfg.workers, cfg.queue_capacity, cfg.batch_size), (2, 100, 64));
-        assert_eq!(cfg.backpressure, BackpressurePolicy::Drop);
-        assert_eq!(cfg.queue_batches(), 2, "100 packets round up to 2 batches of 64");
     }
 
     #[test]
@@ -593,7 +388,7 @@ mod tests {
         let (_, report) = run_multicore(&records, &cfg(2));
         assert!(!report.queue_depth_samples.is_empty());
         // Each worker holds at most queue_batches whole batches.
-        let bound = 2 * cfg(2).queue_batches() * cfg(2).batch_size;
+        let bound = 2 * cfg(2).queue_batches * cfg(2).batch_size;
         assert!(report.queue_depth_samples.iter().all(|&(_, d)| d <= bound));
         // Sample timestamps are non-decreasing (trace order).
         assert!(report.queue_depth_samples.windows(2).all(|w| w[0].0 <= w[1].0));
@@ -619,9 +414,7 @@ mod tests {
             (0..40_000u64).map(|t| PacketRecord::new(key(t as u32 % 300), 120, t)).collect();
         let (reference, _) = run_multicore(&records, &cfg(3));
         for batch_size in [1usize, 7, 255, 1024] {
-            let mut c = cfg(3);
-            c.batch_size = batch_size;
-            let (sys, report) = run_multicore(&records, &c);
+            let (sys, report) = run_multicore(&records, &sized(3, 1024, batch_size));
             assert_eq!(report.packets, records.len() as u64);
             for i in 0..300u32 {
                 let a = sys.estimate_packets(&key(i));
@@ -755,6 +548,7 @@ mod tests {
 #[cfg(test)]
 mod backpressure_tests {
     use super::*;
+    use crate::InstaMeasureConfig;
     use instameasure_packet::Protocol;
 
     fn key(i: u32) -> FlowKey {
@@ -765,12 +559,12 @@ mod backpressure_tests {
     fn block_policy_never_drops() {
         let records: Vec<PacketRecord> =
             (0..50_000u64).map(|t| PacketRecord::new(key(t as u32 % 128), 64, t)).collect();
-        let cfg = MultiCoreConfig {
+        let cfg = EngineConfig {
             workers: 4,
-            queue_capacity: 2,
             batch_size: 1,
+            queue_batches: 2,
+            pin: false,
             per_worker: InstaMeasureConfig::default().small_for_tests(),
-            backpressure: BackpressurePolicy::Block,
         };
         let (_, report) = run_multicore(&records, &cfg);
         assert_eq!(report.dropped, 0);
@@ -784,14 +578,15 @@ mod backpressure_tests {
         // granularity, since an overrun loses the whole batch.
         let records: Vec<PacketRecord> =
             (0..200_000u64).map(|t| PacketRecord::new(key(t as u32 % 512), 64, t)).collect();
-        let cfg = MultiCoreConfig {
+        let cfg = EngineConfig {
             workers: 4,
-            queue_capacity: 1,
             batch_size: 16,
+            queue_batches: 1,
+            pin: false,
             per_worker: InstaMeasureConfig::default().small_for_tests(),
-            backpressure: BackpressurePolicy::Drop,
         };
-        let (_, report) = run_multicore(&records, &cfg);
+        let (_, report) =
+            run_multicore_stream(records.iter().copied(), &cfg, BackpressurePolicy::Drop);
         assert_eq!(report.packets + report.dropped, 200_000);
         assert_eq!(report.per_worker_packets.iter().sum::<u64>(), report.packets);
         assert_eq!(report.per_worker_dropped.iter().sum::<u64>(), report.dropped);
@@ -812,14 +607,15 @@ mod backpressure_tests {
         // same dropped stream for exactly this reason).
         let records: Vec<PacketRecord> =
             (0..100_000u64).map(|t| PacketRecord::new(key(1), 64, t)).collect();
-        let cfg = MultiCoreConfig {
+        let cfg = EngineConfig {
             workers: 2,
-            queue_capacity: 4,
             batch_size: 4,
+            queue_batches: 1,
+            pin: false,
             per_worker: InstaMeasureConfig::default().small_for_tests(),
-            backpressure: BackpressurePolicy::Drop,
         };
-        let (sys, report) = run_multicore(&records, &cfg);
+        let (sys, report) =
+            run_multicore_stream(records.iter().copied(), &cfg, BackpressurePolicy::Drop);
         let delivered = report.per_worker_packets.iter().sum::<u64>();
         let est = sys.estimate_packets(&key(1));
         let rel = (est - delivered as f64).abs() / delivered.max(1) as f64;

@@ -3,7 +3,8 @@
 //! and trace length — including the empty trace and traces shorter than
 //! one batch, where everything rides the end-of-stream flush.
 
-use instameasure_core::multicore::{run_multicore, BackpressurePolicy, MultiCoreConfig};
+use instameasure_core::engine::{BackpressurePolicy, EngineConfig};
+use instameasure_core::multicore::{run_multicore, run_multicore_stream};
 use instameasure_core::{InstaMeasure, InstaMeasureConfig};
 use instameasure_packet::{FlowKey, PacketRecord, Protocol};
 use proptest::prelude::*;
@@ -26,20 +27,17 @@ fn trace(len: usize, flows: u32, salt: u32) -> Vec<PacketRecord> {
         .collect()
 }
 
-fn config(
-    workers: usize,
-    queue_capacity: usize,
-    batch_size: usize,
-    backpressure: BackpressurePolicy,
-) -> MultiCoreConfig {
-    MultiCoreConfig::builder()
-        .workers(workers)
-        .queue_capacity(queue_capacity)
-        .batch_size(batch_size)
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
-        .backpressure(backpressure)
-        .build()
-        .expect("generated parameters are within the builder's bounds")
+/// Shard geometry with each ring sized as `queue_packets` packets.
+fn config(workers: usize, queue_packets: usize, batch_size: usize) -> EngineConfig {
+    let cfg = EngineConfig {
+        workers,
+        batch_size,
+        queue_batches: queue_packets.div_ceil(batch_size),
+        pin: false,
+        per_worker: InstaMeasureConfig::default().small_for_tests(),
+    };
+    cfg.validate().expect("generated parameters are within the engine's bounds");
+    cfg
 }
 
 proptest! {
@@ -50,13 +48,13 @@ proptest! {
         batch_size in 1usize..=4096,
         len in 0usize..=3000,
         workers in 1usize..=4,
-        queue_capacity in 1usize..=512,
+        queue_packets in 1usize..=512,
         flows in 1u32..=200,
         salt in any::<u32>(),
     ) {
         let records = trace(len, flows, salt);
         let (_, report) =
-            run_multicore(&records, &config(workers, queue_capacity, batch_size, BackpressurePolicy::Block));
+            run_multicore(&records, &config(workers, queue_packets, batch_size));
         prop_assert_eq!(report.dropped, 0);
         prop_assert_eq!(report.packets, len as u64);
         prop_assert_eq!(report.per_worker_packets.iter().sum::<u64>(), len as u64);
@@ -82,13 +80,17 @@ proptest! {
         batch_size in 1usize..=4096,
         len in 0usize..=3000,
         workers in 1usize..=4,
-        queue_capacity in 1usize..=512,
+        queue_packets in 1usize..=512,
         flows in 1u32..=200,
         salt in any::<u32>(),
     ) {
         let records = trace(len, flows, salt);
         let (_, report) =
-            run_multicore(&records, &config(workers, queue_capacity, batch_size, BackpressurePolicy::Drop));
+            run_multicore_stream(
+                records.iter().copied(),
+                &config(workers, queue_packets, batch_size),
+                BackpressurePolicy::Drop,
+            );
         prop_assert_eq!(report.packets + report.dropped, len as u64);
         prop_assert_eq!(report.per_worker_packets.iter().sum::<u64>(), report.packets);
         prop_assert_eq!(report.per_worker_dropped.iter().sum::<u64>(), report.dropped);

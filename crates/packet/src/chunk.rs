@@ -136,16 +136,6 @@ impl PcapChunkReader<File> {
         }
     }
 
-    /// Opens a pcap file on the buffered chunk path, never attempting mmap
-    /// (used by differential tests and as an explicit copy-path baseline).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PcapChunkReader::open`].
-    pub fn open_buffered(path: impl AsRef<Path>) -> Result<Self, PcapError> {
-        Self::from_reader(File::open(path)?)
-    }
-
     fn from_mmap(map: Mmap) -> Result<Self, PcapError> {
         let len = map.as_slice().len();
         if len < 24 {

@@ -28,30 +28,16 @@ pub const PREFETCH_DISTANCE: usize = 8;
 /// full batch-tail's worth of lines just evicts useful data.
 pub const MAX_PREFETCH_DISTANCE: usize = 64;
 
-// usize::MAX = not yet initialized from the environment.
-static DISTANCE: AtomicUsize = AtomicUsize::new(usize::MAX);
+static DISTANCE: AtomicUsize = AtomicUsize::new(PREFETCH_DISTANCE);
 
-/// How many packets ahead the batched loops prefetch right now.
-///
-/// Resolved once from `INSTAMEASURE_PREFETCH_DISTANCE` (clamped to
-/// `1..=`[`MAX_PREFETCH_DISTANCE`], falling back to
-/// [`PREFETCH_DISTANCE`] when unset or unparsable) and cached; later
-/// [`set_prefetch_distance`] calls override it. Purely a tuning knob —
-/// the batched paths stay bit-identical to scalar at every distance.
+/// How many packets ahead the batched loops prefetch right now:
+/// [`PREFETCH_DISTANCE`] unless [`set_prefetch_distance`] overrode it.
+/// Purely a tuning knob — the batched paths stay bit-identical to scalar
+/// at every distance.
 #[inline]
 #[must_use]
 pub fn prefetch_distance() -> usize {
-    let d = DISTANCE.load(Ordering::Relaxed);
-    if d != usize::MAX {
-        return d;
-    }
-    let resolved = std::env::var("INSTAMEASURE_PREFETCH_DISTANCE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(PREFETCH_DISTANCE)
-        .clamp(1, MAX_PREFETCH_DISTANCE);
-    DISTANCE.store(resolved, Ordering::Relaxed);
-    resolved
+    DISTANCE.load(Ordering::Relaxed)
 }
 
 /// Overrides the prefetch distance for this process (clamped to

@@ -73,7 +73,7 @@ struct Subscriber {
 /// Registry of live alert subscribers.
 ///
 /// Broadcast is best effort per subscriber: a write failure (or a write
-/// that would block past [`ALERT_WRITE_TIMEOUT`]) reaps that subscriber
+/// that would block for more than a second) reaps that subscriber
 /// without disturbing the others; the connection itself stays open and
 /// its reply lane keeps working.
 pub struct AlertHub {

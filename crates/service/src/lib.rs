@@ -41,13 +41,16 @@
 //! ```
 //! use instameasure_service::client::ServiceClient;
 //! use instameasure_service::server::{Server, ServiceConfig};
+//! use instameasure_service::EngineConfig;
 //! use instameasure_core::InstaMeasureConfig;
 //! use instameasure_packet::{FlowKey, PacketRecord, Protocol};
 //!
-//! let cfg = ServiceConfig::builder()
-//!     .workers(2)
-//!     .per_worker(InstaMeasureConfig::default().small_for_tests())
-//!     .build()?;
+//! let engine = EngineConfig {
+//!     workers: 2,
+//!     per_worker: InstaMeasureConfig::default().small_for_tests(),
+//!     ..EngineConfig::default()
+//! };
+//! let cfg = ServiceConfig::builder().engine(engine).build()?;
 //! let server = Server::start(cfg)?;
 //!
 //! let mut tap = ServiceClient::connect(server.local_addr())?;

@@ -32,9 +32,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use instameasure_core::engine::{Engine, EngineConfig, IngestLane};
-use instameasure_core::multicore::MAX_BATCH_SIZE;
-use instameasure_core::InstaMeasureConfig;
+use instameasure_core::engine::{Engine, EngineConfig, EngineConfigError, IngestLane};
 use instameasure_telemetry::{AtomicCell, Counter, Histogram, SharedRegistry};
 
 use crate::detect::{DetectionConfig, DetectionRuntime};
@@ -50,16 +48,9 @@ pub struct ServiceConfig {
     /// Listen address (`127.0.0.1:0` picks an ephemeral loopback port;
     /// read the bound address back from [`Server::local_addr`]).
     pub addr: String,
-    /// Worker shard count.
-    pub workers: usize,
-    /// Packets per dispatch batch into the worker queues.
-    pub batch_size: usize,
-    /// Per-worker queue capacity in whole batches.
-    pub queue_batches: usize,
-    /// Pin each shard worker to a CPU (`serve --pin`); best effort.
-    pub pin: bool,
-    /// Per-shard measurement configuration.
-    pub per_worker: InstaMeasureConfig,
+    /// Shard geometry and per-shard measurement configuration of the
+    /// engine the daemon boots.
+    pub engine: EngineConfig,
     /// Ceiling on one frame's payload; larger length prefixes are
     /// rejected before allocation.
     pub max_frame_bytes: u32,
@@ -84,11 +75,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            batch_size: 256,
-            queue_batches: 16,
-            pin: false,
-            per_worker: InstaMeasureConfig::default(),
+            engine: EngineConfig::default(),
             max_frame_bytes: DEFAULT_MAX_PAYLOAD,
             read_timeout: Duration::from_secs(30),
             max_connections: 64,
@@ -103,15 +90,8 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServiceConfigError {
-    /// `workers` was zero.
-    NoWorkers,
-    /// `batch_size` was zero or above [`MAX_BATCH_SIZE`].
-    BatchSize {
-        /// The rejected value.
-        got: usize,
-    },
-    /// `queue_batches` was zero.
-    ZeroQueueBatches,
+    /// The engine geometry failed [`EngineConfig::validate`].
+    Engine(EngineConfigError),
     /// `max_frame_bytes` cannot hold even a one-record ingest frame.
     FrameTooSmall {
         /// The rejected value.
@@ -129,13 +109,7 @@ pub enum ServiceConfigError {
 impl core::fmt::Display for ServiceConfigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            ServiceConfigError::NoWorkers => write!(f, "need at least one worker"),
-            ServiceConfigError::BatchSize { got } => {
-                write!(f, "batch size must be in 1..={MAX_BATCH_SIZE}, got {got}")
-            }
-            ServiceConfigError::ZeroQueueBatches => {
-                write!(f, "queue must hold at least one batch")
-            }
+            ServiceConfigError::Engine(e) => e.fmt(f),
             ServiceConfigError::FrameTooSmall { got } => {
                 write!(f, "max frame bytes {got} below the one-record minimum")
             }
@@ -168,38 +142,11 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Sets the worker shard count (default 4).
+    /// Sets the engine geometry and per-shard measurement configuration
+    /// (default [`EngineConfig::default`]).
     #[must_use]
-    pub fn workers(mut self, n: usize) -> Self {
-        self.cfg.workers = n;
-        self
-    }
-
-    /// Sets the dispatch batch size in packets (default 256).
-    #[must_use]
-    pub fn batch_size(mut self, n: usize) -> Self {
-        self.cfg.batch_size = n;
-        self
-    }
-
-    /// Sets the per-worker queue capacity in batches (default 16).
-    #[must_use]
-    pub fn queue_batches(mut self, n: usize) -> Self {
-        self.cfg.queue_batches = n;
-        self
-    }
-
-    /// Sets the per-shard measurement configuration.
-    #[must_use]
-    pub fn per_worker(mut self, cfg: InstaMeasureConfig) -> Self {
-        self.cfg.per_worker = cfg;
-        self
-    }
-
-    /// Pins each shard worker to a CPU (default off; best effort).
-    #[must_use]
-    pub fn pin(mut self, pin: bool) -> Self {
-        self.cfg.pin = pin;
+    pub fn engine(mut self, engine: EngineConfig) -> Self {
+        self.cfg.engine = engine;
         self
     }
 
@@ -241,7 +188,7 @@ impl ServiceConfigBuilder {
     /// Attaches a pre-boot auto-tuning solve (default off). The caller
     /// remains responsible for booting the engine with the plan's
     /// geometry ([`instameasure_autotune::TunePlan::to_config`] →
-    /// [`ServiceConfigBuilder::per_worker`]); this only arms the live
+    /// [`EngineConfig::per_worker`]); this only arms the live
     /// side: `QueryPlan` service and epoch re-solves.
     #[must_use]
     pub fn auto_tune(mut self, state: TuneState) -> Self {
@@ -256,15 +203,7 @@ impl ServiceConfigBuilder {
     /// Returns [`ServiceConfigError`] naming the rejected parameter.
     pub fn build(self) -> Result<ServiceConfig, ServiceConfigError> {
         let c = &self.cfg;
-        if c.workers == 0 {
-            return Err(ServiceConfigError::NoWorkers);
-        }
-        if c.batch_size == 0 || c.batch_size > MAX_BATCH_SIZE {
-            return Err(ServiceConfigError::BatchSize { got: c.batch_size });
-        }
-        if c.queue_batches == 0 {
-            return Err(ServiceConfigError::ZeroQueueBatches);
-        }
+        c.engine.validate().map_err(ServiceConfigError::Engine)?;
         let min_frame = 4 + instameasure_packet::PacketRecord::WIRE_BYTES as u32;
         if c.max_frame_bytes < min_frame {
             return Err(ServiceConfigError::FrameTooSmall { got: c.max_frame_bytes });
@@ -354,14 +293,7 @@ impl Server {
     /// Returns the I/O error if the address cannot be bound.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Server> {
         let registry = Arc::new(SharedRegistry::new());
-        let engine_cfg = EngineConfig {
-            workers: cfg.workers,
-            batch_size: cfg.batch_size,
-            queue_batches: cfg.queue_batches,
-            pin: cfg.pin,
-            per_worker: cfg.per_worker,
-        };
-        let engine = Arc::new(Engine::start(&engine_cfg, Arc::clone(&registry)));
+        let engine = Arc::new(Engine::start(&cfg.engine, Arc::clone(&registry)));
         let tune =
             cfg.tune.clone().map(|state| Arc::new(TuneRuntime::new(state, registry.as_ref())));
         let detection = cfg.detect.as_ref().map(|d| {
@@ -814,26 +746,15 @@ fn timed_query<T>(shared: &Arc<Shared>, f: impl FnOnce() -> T) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use instameasure_core::InstaMeasureConfig;
 
     #[test]
     fn builder_validates_every_knob() {
         assert!(ServiceConfig::builder().build().is_ok());
-        assert_eq!(
-            ServiceConfig::builder().workers(0).build().unwrap_err(),
-            ServiceConfigError::NoWorkers
-        );
-        assert_eq!(
-            ServiceConfig::builder().batch_size(0).build().unwrap_err(),
-            ServiceConfigError::BatchSize { got: 0 }
-        );
-        assert_eq!(
-            ServiceConfig::builder().batch_size(MAX_BATCH_SIZE + 1).build().unwrap_err(),
-            ServiceConfigError::BatchSize { got: MAX_BATCH_SIZE + 1 }
-        );
-        assert_eq!(
-            ServiceConfig::builder().queue_batches(0).build().unwrap_err(),
-            ServiceConfigError::ZeroQueueBatches
-        );
+        let engine = EngineConfig { workers: 0, ..EngineConfig::default() };
+        let err = ServiceConfig::builder().engine(engine).build().unwrap_err();
+        assert_eq!(err, ServiceConfigError::Engine(EngineConfigError::NoWorkers));
+        assert_eq!(err.to_string(), EngineConfigError::NoWorkers.to_string());
         assert_eq!(
             ServiceConfig::builder().max_frame_bytes(8).build().unwrap_err(),
             ServiceConfigError::FrameTooSmall { got: 8 }
@@ -846,13 +767,21 @@ mod tests {
             ServiceConfig::builder().read_timeout(Duration::ZERO).build().unwrap_err(),
             ServiceConfigError::ZeroReadTimeout
         );
+        let detect = DetectionConfig { interval: Some(Duration::ZERO), ..Default::default() };
+        assert_eq!(
+            ServiceConfig::builder().detect(detect).build().unwrap_err(),
+            ServiceConfigError::ZeroDetectInterval
+        );
     }
 
     #[test]
     fn server_binds_ephemeral_port_and_stops_locally() {
         let cfg = ServiceConfig::builder()
-            .workers(1)
-            .per_worker(InstaMeasureConfig::default().small_for_tests())
+            .engine(EngineConfig {
+                workers: 1,
+                per_worker: InstaMeasureConfig::default().small_for_tests(),
+                ..EngineConfig::default()
+            })
             .read_timeout(Duration::from_millis(100))
             .build()
             .unwrap();

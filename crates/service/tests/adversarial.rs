@@ -7,6 +7,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use instameasure_core::engine::EngineConfig;
 use instameasure_core::InstaMeasureConfig;
 use instameasure_packet::{FlowKey, PacketRecord, Protocol};
 use instameasure_service::server::{Server, ServiceConfig};
@@ -18,10 +19,13 @@ use instameasure_service::ServiceClient;
 fn test_server() -> Server {
     let cfg = ServiceConfig::builder()
         .addr("127.0.0.1:0")
-        .workers(2)
-        .batch_size(64)
+        .engine(EngineConfig {
+            workers: 2,
+            batch_size: 64,
+            per_worker: InstaMeasureConfig::default().small_for_tests(),
+            ..EngineConfig::default()
+        })
         .read_timeout(Duration::from_millis(500))
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
         .build()
         .expect("static test config is valid");
     Server::start(cfg).expect("loopback bind")
@@ -257,11 +261,14 @@ fn pusher_disconnecting_mid_ring_full_does_not_wedge_a_shard() {
     // frame is discarded).
     let cfg = ServiceConfig::builder()
         .addr("127.0.0.1:0")
-        .workers(2)
-        .batch_size(32)
-        .queue_batches(2)
+        .engine(EngineConfig {
+            workers: 2,
+            batch_size: 32,
+            queue_batches: 2,
+            per_worker: InstaMeasureConfig::default().small_for_tests(),
+            ..EngineConfig::default()
+        })
         .read_timeout(Duration::from_millis(500))
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
         .build()
         .expect("static test config is valid");
     let server = Server::start(cfg).expect("loopback bind");

@@ -9,9 +9,11 @@
 //! cargo run --release --example gateway_multicore
 //! ```
 
-use instameasure::core::ingest::{run_multicore_pcap, IngestMode};
-use instameasure::core::multicore::{run_multicore, MultiCoreConfig};
+use instameasure::core::engine::EngineConfig;
+use instameasure::core::ingest::run_multicore_pcap;
+use instameasure::core::multicore::run_multicore;
 use instameasure::core::InstaMeasureConfig;
+use instameasure::packet::chunk::PcapChunkReader;
 use instameasure::packet::pcap::{PcapWriter, TsResolution};
 use instameasure::packet::synth::synthesize_frame;
 use instameasure::sketch::SketchConfig;
@@ -28,18 +30,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.stats.duration_nanos as f64 / 1e8
     );
 
-    let cfg = MultiCoreConfig::builder()
-        .workers(4)
-        .queue_capacity(8192)
-        .batch_size(256)
-        .per_worker(
-            InstaMeasureConfig::default()
-                .with_sketch(
-                    SketchConfig::builder().memory_bytes(32 * 1024).vector_bits(8).build()?,
-                )
-                .with_wsaf(WsafConfig::builder().entries_log2(18).build()?),
-        )
-        .build()?;
+    let cfg = EngineConfig {
+        workers: 4,
+        batch_size: 256,
+        queue_batches: 8192usize.div_ceil(256),
+        per_worker: InstaMeasureConfig::default()
+            .with_sketch(SketchConfig::builder().memory_bytes(32 * 1024).vector_bits(8).build()?)
+            .with_wsaf(WsafConfig::builder().entries_log2(18).build()?),
+        ..EngineConfig::default()
+    };
     let (system, report) = run_multicore(&trace.records, &cfg);
 
     println!(
@@ -89,7 +88,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         w.write_packet(pkt.ts_nanos, &synthesize_frame(pkt))?;
     }
     w.into_inner()?;
-    let (zc_system, zc_report, ingest) = run_multicore_pcap(&pcap_path, IngestMode::Mmap, &cfg)?;
+    let (zc_system, zc_report, ingest) =
+        run_multicore_pcap(PcapChunkReader::open(&pcap_path)?, &cfg)?;
     println!(
         "\nzero-copy pcap replay: {} packets in {:.1} ms -> {:.2} Mpps \
          ({} chunk fills, {} bytes mapped, {} copy fallbacks, {} frames skipped)",

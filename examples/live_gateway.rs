@@ -13,6 +13,7 @@
 
 use std::time::{Duration, Instant};
 
+use instameasure::core::engine::EngineConfig;
 use instameasure::core::InstaMeasureConfig;
 use instameasure::service::server::{Server, ServiceConfig};
 use instameasure::service::ServiceClient;
@@ -27,15 +28,16 @@ const CHUNK: usize = 4_096;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ServiceConfig::builder()
         .addr("127.0.0.1:0")
-        .workers(4)
-        .batch_size(256)
-        .per_worker(
-            InstaMeasureConfig::default()
+        .engine(EngineConfig {
+            workers: 4,
+            batch_size: 256,
+            per_worker: InstaMeasureConfig::default()
                 .with_sketch(
                     SketchConfig::builder().memory_bytes(32 * 1024).vector_bits(8).build()?,
                 )
                 .with_wsaf(WsafConfig::builder().entries_log2(18).build()?),
-        )
+            ..EngineConfig::default()
+        })
         .build()?;
     let server = Server::start(cfg)?;
     let addr = server.local_addr();

@@ -15,11 +15,13 @@ use instameasure::autotune::{
 };
 use instameasure::core::apps::{normalized_entropy, top_fanin_destinations, top_fanout_sources};
 use instameasure::core::detect::{DetectorConfig, Subject, ALL_ANOMALY_KINDS};
+use instameasure::core::engine::EngineConfig;
 use instameasure::core::export::{decode_records, encode_records, snapshot};
-use instameasure::core::ingest::{run_multicore_pcap, IngestMode};
-use instameasure::core::multicore::{run_multicore, MultiCoreConfig};
+use instameasure::core::ingest::run_multicore_pcap;
+use instameasure::core::multicore::run_multicore;
 use instameasure::core::windowed::WindowedMeasurement;
 use instameasure::core::{InstaMeasure, InstaMeasureConfig, InstaMeasureConfigError};
+use instameasure::packet::chunk::PcapChunkReader;
 use instameasure::packet::pcap::{read_records, PcapWriter, TsResolution};
 use instameasure::packet::synth::synthesize_frame;
 use instameasure::packet::{FlowKey, Protocol};
@@ -165,17 +167,26 @@ fn main() -> ExitCode {
     }
 }
 
-/// Fetches the value following `--name`, parsed, or `default`.
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Fetches the value following `--name`, parsed, or `default` when the
+/// flag is absent. A present flag with a missing or unparseable value is
+/// an error naming the flag and the value.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    match flag_str(args, name)? {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{name}: invalid value '{v}'")),
+    }
 }
 
-fn flag_str<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// Fetches the raw value following `--name`; `None` when the flag is
+/// absent, an error when it is the last argument.
+fn flag_str<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{name}: missing value")),
+        },
+    }
 }
 
 /// Stamps the hot-path dispatch facts (SIMD tier, prefetch distance,
@@ -197,18 +208,18 @@ fn stamp_hotpath_gauges(snap: &mut instameasure::telemetry::Snapshot) {
 
 /// Parses `--filter KIND` into a [`FilterKind`], surfacing unknown names
 /// as a classified [`InstaMeasureConfigError`] rather than a panic.
-fn filter_flag(args: &[String]) -> Result<FilterKind, InstaMeasureConfigError> {
-    match flag_str(args, "--filter") {
+fn filter_flag(args: &[String]) -> Result<FilterKind, Box<dyn std::error::Error>> {
+    match flag_str(args, "--filter")? {
         None => Ok(FilterKind::default()),
-        Some(name) => name.parse().map_err(InstaMeasureConfigError::from),
+        Some(name) => Ok(name.parse().map_err(InstaMeasureConfigError::from)?),
     }
 }
 
 fn generate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let path = args.first().ok_or("generate: missing output path")?;
-    let preset = flag_str(args, "--preset").unwrap_or("caida");
-    let scale = flag(args, "--scale", 0.02f64);
-    let seed = flag(args, "--seed", 42u64);
+    let preset = flag_str(args, "--preset")?.unwrap_or("caida");
+    let scale = flag(args, "--scale", 0.02f64)?;
+    let seed = flag(args, "--seed", 42u64)?;
     let trace = match preset {
         "caida" => caida_like(scale, seed),
         "campus" => campus_like(scale, seed),
@@ -231,9 +242,9 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         instameasure::packet::simd::set_simd_disabled(true);
     }
     let path = args.first().ok_or("analyze: missing pcap path")?;
-    let top = flag(args, "--top", 10usize);
-    let hh_threshold = flag(args, "--hh-threshold", 0.0f64);
-    let metrics_json = flag_str(args, "--metrics-json");
+    let top = flag(args, "--top", 10usize)?;
+    let hh_threshold = flag(args, "--hh-threshold", 0.0f64)?;
+    let metrics_json = flag_str(args, "--metrics-json")?;
     let write_metrics = |snap: &instameasure::telemetry::Snapshot| -> std::io::Result<()> {
         if let Some(p) = metrics_json {
             let mut snap = snap.clone();
@@ -245,12 +256,12 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let use_mmap = args.iter().any(|a| a == "--mmap");
-    let window_ms = flag(args, "--window-ms", 0u64);
-    let workers = flag(args, "--workers", 0usize);
+    let window_ms = flag(args, "--window-ms", 0u64)?;
+    let workers = flag(args, "--workers", 0usize)?;
     // `--config` boots the pipeline from a `tune --apply` plan file
     // (which fixes the filter too); `--filter` covers the default
     // geometry.
-    let measure_cfg = match flag_str(args, "--config") {
+    let measure_cfg = match flag_str(args, "--config")? {
         Some(path) => {
             let plan = TunePlan::load(std::path::Path::new(path))?;
             println!(
@@ -260,22 +271,25 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 plan.wsaf_entries_log2,
                 plan.filter_kind()
             );
-            plan.to_config(flag(args, "--seed", 42u64))?
+            plan.to_config(flag(args, "--seed", 42u64)?)?
         }
         None => InstaMeasureConfig::default().with_filter(filter_flag(args)?),
     };
+
+    // `--workers N` replays through the sharded engine, the same one
+    // `serve` runs.
+    let batch_size = flag(args, "--batch-size", 256usize)?;
+    let engine =
+        EngineConfig { workers, batch_size, per_worker: measure_cfg, ..EngineConfig::default() };
+    if workers > 0 {
+        engine.validate()?;
+    }
 
     // Zero-copy multi-core mode: stream the capture straight from the
     // mapped file into the recycled dispatch batches, never materialising
     // the record vector in between.
     if use_mmap && workers > 0 && window_ms == 0 {
-        let batch_size = flag(args, "--batch-size", 256usize);
-        let cfg = MultiCoreConfig::builder()
-            .workers(workers)
-            .batch_size(batch_size)
-            .per_worker(measure_cfg)
-            .build()?;
-        let (sys, mc, ingest) = run_multicore_pcap(path, IngestMode::Mmap, &cfg)?;
+        let (sys, mc, ingest) = run_multicore_pcap(PcapChunkReader::open(path)?, &engine)?;
         if mc.packets == 0 {
             return Err("no parseable IPv4 packets in capture".into());
         }
@@ -345,13 +359,7 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // Optional multi-core mode: replay through the batched manager/worker
     // pipeline and report the merged shard view.
     if workers > 0 {
-        let batch_size = flag(args, "--batch-size", 256usize);
-        let cfg = MultiCoreConfig::builder()
-            .workers(workers)
-            .batch_size(batch_size)
-            .per_worker(measure_cfg)
-            .build()?;
-        let (sys, mc) = run_multicore(&records, &cfg);
+        let (sys, mc) = run_multicore(&records, &engine);
         let span = records.last().map_or(0, |r| r.ts_nanos) as f64 / 1e9;
         println!("capture: {} packets ({skipped} skipped), {span:.2}s span", records.len());
         println!(
@@ -428,7 +436,7 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    if let Some(export_path) = flag_str(args, "--export") {
+    if let Some(export_path) = flag_str(args, "--export")? {
         let recs = snapshot(im.wsaf());
         let bytes = encode_records(&recs);
         File::create(export_path)?.write_all(&bytes)?;
@@ -441,7 +449,7 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// Loads the cached machine profile, calibrating (and caching) when the
 /// cache is absent or `--recalibrate` is given.
 fn obtain_profile(args: &[String]) -> Result<MachineProfile, Box<dyn std::error::Error>> {
-    let path = match flag_str(args, "--profile") {
+    let path = match flag_str(args, "--profile")? {
         Some(p) => std::path::PathBuf::from(p),
         None => MachineProfile::default_cache_path(),
     };
@@ -464,21 +472,25 @@ fn obtain_profile(args: &[String]) -> Result<MachineProfile, Box<dyn std::error:
 }
 
 /// Builds the operator's tuning target from the shared `tune` flags.
-fn tune_request(args: &[String]) -> TuneRequest {
-    let pps = flag(args, "--pps", 1.0e6f64);
+fn tune_request(args: &[String]) -> Result<TuneRequest, String> {
+    let pps = flag(args, "--pps", 1.0e6f64)?;
     let mut req = if args.iter().any(|a| a == "--throughput") {
         TuneRequest::throughput(pps, 2.0)
     } else {
-        TuneRequest::accuracy(pps, flag(args, "--epsilon", 0.05f64), flag(args, "--delta", 0.05f64))
+        TuneRequest::accuracy(
+            pps,
+            flag(args, "--epsilon", 0.05f64)?,
+            flag(args, "--delta", 0.05f64)?,
+        )
     };
-    req.min_margin = flag(args, "--margin", req.min_margin);
-    req
+    req.min_margin = flag(args, "--margin", req.min_margin)?;
+    Ok(req)
 }
 
 /// The flow-size sample the solver tunes against: per-flow packet counts
 /// of `--trace`, else the synthetic Zipf shape of `--flows`/`--heaviest`.
 fn tune_workload(args: &[String]) -> Result<Vec<u64>, Box<dyn std::error::Error>> {
-    match flag_str(args, "--trace") {
+    match flag_str(args, "--trace")? {
         Some(path) => {
             let (records, _skipped) = read_records(BufReader::new(File::open(path)?))?;
             if records.is_empty() {
@@ -494,8 +506,8 @@ fn tune_workload(args: &[String]) -> Result<Vec<u64>, Box<dyn std::error::Error>
             Ok(sizes)
         }
         None => Ok(zipf_sizes(
-            flag(args, "--flows", 100_000u64),
-            flag(args, "--heaviest", 1_000_000u64),
+            flag(args, "--flows", 100_000u64)?,
+            flag(args, "--heaviest", 1_000_000u64)?,
         )),
     }
 }
@@ -509,7 +521,7 @@ fn tune(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         profile.hash_ns(),
         if profile.smoke() { " (smoke sweep)" } else { "" }
     );
-    let req = tune_request(args);
+    let req = tune_request(args)?;
     let sizes = tune_workload(args)?;
     let plan = solve(&profile, &req, &sizes).ok_or_else(|| {
         format!(
@@ -520,7 +532,7 @@ fn tune(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         )
     })?;
     println!("{plan}");
-    if let Some(out) = flag_str(args, "--apply") {
+    if let Some(out) = flag_str(args, "--apply")? {
         plan.save(std::path::Path::new(out))?;
         println!("plan written to {out} (boot it with `analyze --config {out}` or review it)");
     }
@@ -549,14 +561,14 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if args.iter().any(|a| a == "--no-simd") {
         instameasure::packet::simd::set_simd_disabled(true);
     }
-    let listen = flag_str(args, "--listen").unwrap_or(DEFAULT_ADDR);
+    let listen = flag_str(args, "--listen")?.unwrap_or(DEFAULT_ADDR);
     // `--shards` names the thread-per-shard model; `--workers` stays as
     // the historical alias.
-    let workers = flag(args, "--shards", flag(args, "--workers", 4usize));
-    let batch_size = flag(args, "--batch-size", 256usize);
+    let workers = flag(args, "--shards", flag(args, "--workers", 4usize)?)?;
+    let batch_size = flag(args, "--batch-size", 256usize)?;
     let pin = args.iter().any(|a| a == "--pin");
     let filter = filter_flag(args)?;
-    let detect_epoch_ms = flag(args, "--detect-epoch-ms", 0u64);
+    let detect_epoch_ms = flag(args, "--detect-epoch-ms", 0u64)?;
     let auto_tune = args.iter().any(|a| a == "--auto-tune");
     // Auto-tune implies detection: the epoch re-tuner runs off the same
     // rotation clock the detectors do.
@@ -566,7 +578,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut tune_state = None;
     if auto_tune {
         let profile = obtain_profile(args)?;
-        let mut req = tune_request(args);
+        let mut req = tune_request(args)?;
         let sizes = tune_workload(args)?;
         // Each popcount-routed shard owns its own sketch and WSAF, so
         // the solve runs per shard: the offered load divides evenly and
@@ -584,20 +596,22 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         })?;
         println!("auto-tuned per-shard configuration ({:.2} Mpps per shard):", req.pps / 1e6);
         println!("{plan}");
-        per_worker = plan.to_config(flag(args, "--seed", 42u64))?;
+        per_worker = plan.to_config(flag(args, "--seed", 42u64)?)?;
         tune_state = Some(TuneState { profile, request: req, plan, shards: workers });
     }
 
     let mut builder = ServiceConfig::builder()
         .addr(listen)
-        .workers(workers)
-        .batch_size(batch_size)
-        .queue_batches(flag(args, "--queue-batches", 16usize))
-        .pin(pin)
-        .max_frame_bytes(flag(args, "--max-frame-bytes", 1u32 << 20))
-        .read_timeout(Duration::from_secs(flag(args, "--read-timeout-secs", 30u64)))
-        .max_connections(flag(args, "--max-connections", 64usize))
-        .per_worker(per_worker);
+        .engine(EngineConfig {
+            workers,
+            batch_size,
+            queue_batches: flag(args, "--queue-batches", 16usize)?,
+            pin,
+            per_worker,
+        })
+        .max_frame_bytes(flag(args, "--max-frame-bytes", 1u32 << 20)?)
+        .read_timeout(Duration::from_secs(flag(args, "--read-timeout-secs", 30u64)?))
+        .max_connections(flag(args, "--max-connections", 64usize)?);
     if let Some(state) = tune_state {
         builder = builder.auto_tune(state);
     }
@@ -645,7 +659,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn push(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let path = args.first().ok_or("push: missing pcap path")?;
-    let addr = flag_str(args, "--addr").unwrap_or(DEFAULT_ADDR);
+    let addr = flag_str(args, "--addr")?.unwrap_or(DEFAULT_ADDR);
     let (records, skipped) = if args.iter().any(|a| a == "--mmap") {
         instameasure::packet::chunk::read_records_mmap(path)?
     } else {
@@ -671,7 +685,7 @@ fn query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .first()
         .map(String::as_str)
         .ok_or("query: missing subcommand (flow|top-k|status|telemetry|plan|rotate|shutdown)")?;
-    let addr = flag_str(args, "--addr").unwrap_or(DEFAULT_ADDR);
+    let addr = flag_str(args, "--addr")?.unwrap_or(DEFAULT_ADDR);
     let mut client = ServiceClient::connect(addr)?;
     match sub {
         "flow" => {
@@ -685,7 +699,7 @@ fn query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             println!("  {:<46} {pkts:>12.0} pkts {bytes:>14.0} B", key.to_string());
         }
         "top-k" => {
-            let k = flag(args, "--k", 10u32);
+            let k = flag(args, "--k", 10u32)?;
             let flows = client.top_k(k)?;
             println!("top {k} flows by packets:");
             for f in &flows {
@@ -723,8 +737,8 @@ fn query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// `instameasure watch`: subscribe to the daemon's alert stream and
 /// print verdicts as they arrive, one line per anomaly.
 fn watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let addr = flag_str(args, "--addr").unwrap_or(DEFAULT_ADDR);
-    let mask = match flag_str(args, "--kinds") {
+    let addr = flag_str(args, "--addr")?.unwrap_or(DEFAULT_ADDR);
+    let mask = match flag_str(args, "--kinds")? {
         None => 0, // the daemon expands 0 to "all kinds"
         Some(list) => {
             let mut mask = 0u8;
@@ -813,7 +827,7 @@ fn parse_protocol(s: &str) -> Result<Protocol, Box<dyn std::error::Error>> {
 
 fn report(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let path = args.first().ok_or("report: missing records path")?;
-    let top = flag(args, "--top", 10usize);
+    let top = flag(args, "--top", 10usize)?;
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
     let mut records = decode_records(&buf)?;

@@ -15,6 +15,7 @@
 use std::time::{Duration, Instant};
 
 use instameasure::core::detect::{Anomaly, AnomalyKind, DetectorConfig, Subject};
+use instameasure::core::engine::EngineConfig;
 use instameasure::core::InstaMeasureConfig;
 use instameasure::packet::{FlowKey, PacketRecord, Protocol};
 use instameasure::service::server::{Server, ServiceConfig};
@@ -39,10 +40,13 @@ fn start_detect_with(
 ) -> Server {
     let cfg = ServiceConfig::builder()
         .addr("127.0.0.1:0")
-        .workers(workers)
-        .batch_size(256)
+        .engine(EngineConfig {
+            workers,
+            batch_size: 256,
+            per_worker: InstaMeasureConfig::default().small_for_tests(),
+            ..EngineConfig::default()
+        })
         .read_timeout(Duration::from_secs(5))
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
         .detect(DetectionConfig { interval, detectors })
         .build()
         .expect("static test config is valid");
@@ -333,9 +337,12 @@ fn subscription_mask_filters_delivery_without_silencing_detection() {
 fn subscribe_is_rejected_when_detection_is_disabled() {
     let cfg = ServiceConfig::builder()
         .addr("127.0.0.1:0")
-        .workers(1)
+        .engine(EngineConfig {
+            workers: 1,
+            per_worker: InstaMeasureConfig::default().small_for_tests(),
+            ..EngineConfig::default()
+        })
         .read_timeout(Duration::from_secs(2))
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
         .build()
         .unwrap();
     let server = Server::start(cfg).unwrap();

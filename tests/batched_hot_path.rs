@@ -6,7 +6,8 @@
 
 mod support;
 
-use instameasure::core::multicore::{run_multicore, BackpressurePolicy, MultiCoreConfig};
+use instameasure::core::engine::EngineConfig;
+use instameasure::core::multicore::run_multicore;
 use instameasure::core::{InstaMeasure, InstaMeasureConfig};
 use instameasure::packet::{prefetch, simd};
 use instameasure::telemetry::Instrumented;
@@ -60,14 +61,13 @@ fn batched_telemetry_accounts_for_every_packet() {
     let oracle = ExactOracle::from_records(&trace.records);
     for workers in test_worker_counts() {
         for batch_size in [1usize, 7, 256] {
-            let cfg = MultiCoreConfig::builder()
-                .workers(workers)
-                .queue_capacity(4096)
-                .batch_size(batch_size)
-                .per_worker(small())
-                .backpressure(BackpressurePolicy::Block)
-                .build()
-                .expect("test config is valid");
+            let cfg = EngineConfig {
+                workers,
+                batch_size,
+                queue_batches: 4096usize.div_ceil(batch_size),
+                per_worker: small(),
+                ..EngineConfig::default()
+            };
             let (sys, report) = run_multicore(&trace.records, &cfg);
             let ctx = format!("workers {workers} batch {batch_size}");
             // Every packet the manager shipped was drained through the

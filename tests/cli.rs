@@ -91,6 +91,27 @@ fn bad_usage_fails_cleanly() {
 }
 
 #[test]
+fn bad_flag_values_are_errors_not_defaults() {
+    let pcap = tmp("v.pcap");
+    let out = bin()
+        .args(["generate", pcap.to_str().unwrap(), "--scale", "0.003", "--seed", "5"])
+        .output()
+        .expect("generate runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for tail in [&["--top", "ten"][..], &["--top"][..]] {
+        let out = bin().arg("analyze").arg(&pcap).args(tail).output().expect("analyze runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "analyze {tail:?} must fail, not fall back to the default");
+        assert!(
+            tail.iter().all(|a| stderr.contains(a)),
+            "analyze {tail:?} stderr must name the flag and value: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "analyze {tail:?} panicked: {stderr}");
+    }
+    std::fs::remove_file(&pcap).ok();
+}
+
+#[test]
 fn analyze_accepts_every_filter_kind() {
     let pcap = tmp("f.pcap");
     let out = bin()

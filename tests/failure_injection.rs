@@ -1,7 +1,8 @@
 //! Failure injection: the system must degrade gracefully, never corrupt
 //! state or panic, when its resources are exhausted or inputs are hostile.
 
-use instameasure::core::multicore::{run_multicore, MultiCoreConfig};
+use instameasure::core::engine::EngineConfig;
+use instameasure::core::multicore::run_multicore;
 use instameasure::core::{InstaMeasure, InstaMeasureConfig};
 use instameasure::packet::pcap::{PcapError, PcapReader};
 use instameasure::packet::{parse, FlowKey, PacketRecord, Protocol};
@@ -63,13 +64,13 @@ fn sketch_overload_stays_sane() {
 #[test]
 fn tiny_queues_do_not_deadlock_or_drop() {
     let trace = caida_like(0.002, 51);
-    let cfg = MultiCoreConfig::builder()
-        .workers(4)
-        .queue_capacity(2) // brutal backpressure: one 2-packet batch in flight
-        .batch_size(2)
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
-        .build()
-        .unwrap();
+    let cfg = EngineConfig {
+        workers: 4,
+        batch_size: 2,
+        queue_batches: 1, // brutal backpressure: one 2-packet batch in flight
+        per_worker: InstaMeasureConfig::default().small_for_tests(),
+        ..EngineConfig::default()
+    };
     let (_, report) = run_multicore(&trace.records, &cfg);
     assert_eq!(report.packets, trace.records.len() as u64, "backpressure must not lose packets");
 }

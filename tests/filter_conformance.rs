@@ -17,8 +17,9 @@
 
 mod support;
 
+use instameasure::core::engine::EngineConfig;
 use instameasure::core::export::{encode_records, snapshot};
-use instameasure::core::multicore::{run_multicore, MultiCoreConfig};
+use instameasure::core::multicore::run_multicore;
 use instameasure::core::{InstaMeasure, InstaMeasureConfig};
 use instameasure::packet::{FlowDigest, FlowKey, PacketRecord, Protocol};
 use instameasure::sketch::{FilterKind, FilterStats, FlowFilter, FlowRegulator, ALL_FILTER_KINDS};
@@ -173,11 +174,7 @@ fn every_kind_survives_the_multicore_differential() {
     let trace = caida_like(0.01, 24);
     for kind in ALL_FILTER_KINDS {
         for workers in test_worker_counts() {
-            let mc_cfg = MultiCoreConfig::builder()
-                .workers(workers)
-                .per_worker(cfg(kind))
-                .build()
-                .expect("valid config");
+            let mc_cfg = EngineConfig { workers, per_worker: cfg(kind), ..EngineConfig::default() };
             let (sys, report) = run_multicore(&trace.records, &mc_cfg);
             assert_eq!(report.packets, trace.records.len() as u64, "{kind} w={workers}");
             for (w, shard) in shard_records(&trace.records, workers).iter().enumerate() {

@@ -1,19 +1,17 @@
 //! Multi-core pipeline consistency: sharded measurement must agree with
 //! the flow-level truth regardless of worker count.
 
-use instameasure::core::multicore::{
-    run_multicore, worker_for, BackpressurePolicy, MultiCoreConfig,
-};
+use instameasure::core::engine::{BackpressurePolicy, EngineConfig};
+use instameasure::core::multicore::{run_multicore, run_multicore_stream, worker_for};
 use instameasure::core::InstaMeasureConfig;
 use instameasure::traffic::presets::caida_like;
 
-fn config(workers: usize) -> MultiCoreConfig {
-    MultiCoreConfig::builder()
-        .workers(workers)
-        .queue_capacity(4096)
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
-        .build()
-        .expect("test config is valid")
+fn config(workers: usize) -> EngineConfig {
+    EngineConfig {
+        workers,
+        per_worker: InstaMeasureConfig::default().small_for_tests(),
+        ..EngineConfig::default()
+    }
 }
 
 #[test]
@@ -71,15 +69,15 @@ fn drop_mode_accuracy_is_judged_against_delivered_not_offered() {
     // that each worker's dropped packets are subtracted from its ground
     // truth — a shard is judged only on what was delivered to it.
     let trace = caida_like(0.01, 21);
-    let cfg = MultiCoreConfig::builder()
-        .workers(2)
-        .queue_capacity(8)
-        .batch_size(8)
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
-        .backpressure(BackpressurePolicy::Drop)
-        .build()
-        .expect("test config is valid");
-    let (sys, report) = run_multicore(&trace.records, &cfg);
+    let cfg = EngineConfig {
+        workers: 2,
+        batch_size: 8,
+        queue_batches: 1,
+        per_worker: InstaMeasureConfig::default().small_for_tests(),
+        ..EngineConfig::default()
+    };
+    let (sys, report) =
+        run_multicore_stream(trace.records.iter().copied(), &cfg, BackpressurePolicy::Drop);
     let offered = trace.records.len() as u64;
     assert_eq!(report.packets + report.dropped, offered, "conservation across the drop split");
     assert!(report.dropped > 0, "an 8-packet queue must overrun on a {offered}-packet burst");

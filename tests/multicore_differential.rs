@@ -6,22 +6,22 @@
 
 mod support;
 
-use instameasure::core::multicore::{run_multicore, BackpressurePolicy, MultiCoreConfig};
+use instameasure::core::engine::EngineConfig;
+use instameasure::core::multicore::run_multicore;
 use instameasure::core::InstaMeasureConfig;
 use instameasure::traffic::presets::caida_like;
 use support::oracle::{
     assert_identical_measurement, replay, shard_records, test_worker_counts, ExactOracle,
 };
 
-fn config(workers: usize, batch_size: usize) -> MultiCoreConfig {
-    MultiCoreConfig::builder()
-        .workers(workers)
-        .queue_capacity(4096)
-        .batch_size(batch_size)
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
-        .backpressure(BackpressurePolicy::Block)
-        .build()
-        .expect("test config is valid")
+fn config(workers: usize, batch_size: usize) -> EngineConfig {
+    EngineConfig {
+        workers,
+        batch_size,
+        queue_batches: 4096usize.div_ceil(batch_size),
+        per_worker: InstaMeasureConfig::default().small_for_tests(),
+        ..EngineConfig::default()
+    }
 }
 
 #[test]

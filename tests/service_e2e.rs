@@ -6,6 +6,7 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use instameasure::core::engine::EngineConfig;
 use instameasure::core::{InstaMeasure, InstaMeasureConfig};
 use instameasure::service::server::{Server, ServiceConfig};
 use instameasure::service::ServiceClient;
@@ -14,10 +15,13 @@ use instameasure::traffic::SyntheticTraceBuilder;
 fn start(workers: usize) -> Server {
     let cfg = ServiceConfig::builder()
         .addr("127.0.0.1:0")
-        .workers(workers)
-        .batch_size(512)
+        .engine(EngineConfig {
+            workers,
+            batch_size: 512,
+            per_worker: InstaMeasureConfig::default().small_for_tests(),
+            ..EngineConfig::default()
+        })
         .read_timeout(Duration::from_secs(5))
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
         .build()
         .expect("static test config is valid");
     Server::start(cfg).expect("loopback bind")

@@ -2,7 +2,8 @@
 //! reports must agree exactly with the legacy stats structs and with
 //! ground truth about the trace that produced it.
 
-use instameasure::core::multicore::{run_multicore, BackpressurePolicy, MultiCoreConfig};
+use instameasure::core::engine::{BackpressurePolicy, EngineConfig};
+use instameasure::core::multicore::{run_multicore, run_multicore_stream};
 use instameasure::core::{InstaMeasure, InstaMeasureConfig};
 use instameasure::sketch::{FlowFilter, FlowRegulator, SketchConfig};
 use instameasure::telemetry::Instrumented;
@@ -92,13 +93,11 @@ fn regulation_ratio_near_one_percent_on_caida_like() {
 fn multicore_worker_counters_sum_to_trace_packets() {
     let trace = caida_like(0.02, 7);
     for workers in [1usize, 3] {
-        let cfg = MultiCoreConfig::builder()
-            .workers(workers)
-            .queue_capacity(4096)
-            .per_worker(InstaMeasureConfig::default().small_for_tests())
-            .backpressure(BackpressurePolicy::Block)
-            .build()
-            .unwrap();
+        let cfg = EngineConfig {
+            workers,
+            per_worker: InstaMeasureConfig::default().small_for_tests(),
+            ..EngineConfig::default()
+        };
         let (sys, report) = run_multicore(&trace.records, &cfg);
         let snap = &report.telemetry;
         let mut worker_sum = 0;
@@ -118,15 +117,15 @@ fn multicore_worker_counters_sum_to_trace_packets() {
 #[test]
 fn drop_counters_exact_under_tiny_queue() {
     let trace = caida_like(0.02, 3);
-    let cfg = MultiCoreConfig::builder()
-        .workers(2)
-        .queue_capacity(1) // force backpressure
-        .batch_size(1)
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
-        .backpressure(BackpressurePolicy::Drop)
-        .build()
-        .unwrap();
-    let (sys, report) = run_multicore(&trace.records, &cfg);
+    let cfg = EngineConfig {
+        workers: 2,
+        batch_size: 1,
+        queue_batches: 1, // force backpressure
+        per_worker: InstaMeasureConfig::default().small_for_tests(),
+        ..EngineConfig::default()
+    };
+    let (sys, report) =
+        run_multicore_stream(trace.records.iter().copied(), &cfg, BackpressurePolicy::Drop);
     let snap = &report.telemetry;
     let dropped = snap.counter("multicore.dropped").unwrap();
     assert_eq!(dropped, report.dropped);

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use instameasure::autotune::{measured_epsilon, solve, zipf_sizes, MachineProfile, TuneRequest};
+use instameasure::core::engine::EngineConfig;
 use instameasure::core::InstaMeasureConfig;
 use instameasure::packet::{FlowKey, PacketRecord, Protocol};
 use instameasure::service::server::{Server, ServiceConfig};
@@ -62,8 +63,7 @@ fn auto_tuned_daemon_serves_and_retunes_the_plan_over_the_wire() {
     let per_worker = plan.to_config(7).expect("plan materializes");
 
     let cfg = ServiceConfig::builder()
-        .workers(1)
-        .per_worker(per_worker)
+        .engine(EngineConfig { workers: 1, per_worker, ..EngineConfig::default() })
         .read_timeout(Duration::from_secs(5))
         .detect(DetectionConfig::default())
         .auto_tune(TuneState { profile, request, plan, shards: 1 })
@@ -119,8 +119,11 @@ fn auto_tuned_daemon_serves_and_retunes_the_plan_over_the_wire() {
 #[test]
 fn a_daemon_without_auto_tune_rejects_plan_queries_as_unsupported() {
     let cfg = ServiceConfig::builder()
-        .workers(1)
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
+        .engine(EngineConfig {
+            workers: 1,
+            per_worker: InstaMeasureConfig::default().small_for_tests(),
+            ..EngineConfig::default()
+        })
         .read_timeout(Duration::from_secs(5))
         .build()
         .expect("valid service config");

@@ -20,8 +20,8 @@ mod support;
 use std::fs::File;
 use std::io::BufReader;
 
-use instameasure::core::ingest::{run_multicore_pcap, IngestMode};
-use instameasure::core::multicore::{BackpressurePolicy, MultiCoreConfig};
+use instameasure::core::engine::EngineConfig;
+use instameasure::core::ingest::run_multicore_pcap;
 use instameasure::core::InstaMeasureConfig;
 use instameasure::packet::chunk::{read_records_mmap, PcapChunkReader, RecordStream};
 use instameasure::packet::pcap::{read_records, PcapWriter, TsResolution};
@@ -44,15 +44,14 @@ fn write_trace(records: &[PacketRecord], name: &str) -> std::path::PathBuf {
     path
 }
 
-fn config(workers: usize) -> MultiCoreConfig {
-    MultiCoreConfig::builder()
-        .workers(workers)
-        .queue_capacity(4096)
-        .batch_size(64)
-        .per_worker(InstaMeasureConfig::default().small_for_tests())
-        .backpressure(BackpressurePolicy::Block)
-        .build()
-        .expect("test config is valid")
+fn config(workers: usize) -> EngineConfig {
+    EngineConfig {
+        workers,
+        batch_size: 64,
+        queue_batches: 64,
+        per_worker: InstaMeasureConfig::default().small_for_tests(),
+        ..EngineConfig::default()
+    }
 }
 
 #[test]
@@ -101,9 +100,13 @@ fn zero_copy_multicore_is_bit_identical_to_owned_shard_replay() {
                 .map(|s| replay(s, InstaMeasureConfig::default().small_for_tests()))
                 .collect();
 
-            for mode in [IngestMode::Mmap, IngestMode::Buffered] {
-                let ctx = format!("seed {seed} workers {workers} mode {mode:?}");
-                let (system, report, ingest) = run_multicore_pcap(&path, mode, &cfg).unwrap();
+            let readers = [
+                ("mmap", PcapChunkReader::open(&path).unwrap()),
+                ("buffered", PcapChunkReader::from_reader(File::open(&path).unwrap()).unwrap()),
+            ];
+            for (mode, reader) in readers {
+                let ctx = format!("seed {seed} workers {workers} mode {mode}");
+                let (system, report, ingest) = run_multicore_pcap(reader, &cfg).unwrap();
                 assert_eq!(report.dropped, 0, "{ctx}: Block mode must not drop");
                 assert_eq!(report.packets, owned.len() as u64, "{ctx}: packet count");
                 assert_eq!(ingest.skipped_frames, owned_skipped, "{ctx}: skipped frames");
