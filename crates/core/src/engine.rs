@@ -28,14 +28,21 @@
 //!   counts its packets instead. Workers discover new lanes through a
 //!   mailbox guarded by a mutex plus a generation counter, so the
 //!   per-batch path costs one relaxed atomic load, not a lock.
-//! * **Epoch-stamped snapshot queries.** Queries never touch live shard
-//!   state. The worker publishes an immutable clone of its pipeline into
-//!   a [`crate::snapshot::SnapshotSlot`] on demand (a reader asks, the
-//!   worker answers at the next batch boundary); readers validate the
-//!   seqlock stamp and retry on odd/changed values
-//!   (`service.snapshot.retries`). After a drain the worker's last act is
-//!   publishing its exact end-of-stream state, so post-drain queries are
-//!   bit-identical to an offline replay of the same per-shard stream.
+//! * **Epoch-stamped snapshot queries, answered in place.** Queries never
+//!   touch live shard state and no worker copies it. On demand (a reader
+//!   asks, the worker answers at its next batch boundary) the worker
+//!   publishes a small view into a [`crate::snapshot::SnapshotSlot`]: its
+//!   version and epoch, a copy of the WSAF's exact top-K index
+//!   ([`instameasure_wsaf::TOP_INDEX_K`] records), and its answers — from
+//!   live state — to the point-estimate, telemetry and deep top-k
+//!   questions readers posted in the shard's
+//!   [`crate::snapshot::Mailbox`]. Readers validate the seqlock stamp and
+//!   retry on odd/changed values (`service.snapshot.retries`). A rotation
+//!   moves the retiring state out of the worker whole and publishes it
+//!   once behind an `Arc`; after a drain the worker's last act is
+//!   publishing its exact end-of-stream state the same way, so
+//!   post-drain queries are bit-identical to an offline replay of the
+//!   same per-shard stream.
 //! * **Packet-exact accounting.** `service.ingest.packets` counts what
 //!   lanes shipped, per-worker counters count what shards processed, and
 //!   [`Engine::drain`] proves `submitted == processed`: shutdown closes
@@ -55,11 +62,13 @@ use instameasure_packet::{FlowKey, PacketRecord};
 use instameasure_telemetry::{
     AtomicCell, Counter, Histogram, Instrumented, LogHistogram, SharedRegistry, Snapshot,
 };
+pub use instameasure_wsaf::TopFlow;
+use instameasure_wsaf::TOP_INDEX_K;
 
 use crate::affinity;
 use crate::multicore::worker_for;
 use crate::ring::{ring, PushError, RingConsumer, RingProducer};
-use crate::snapshot::{SnapshotRef, SnapshotSlot};
+use crate::snapshot::{Mailbox, SnapshotRef, SnapshotSlot};
 use crate::{InstaMeasure, InstaMeasureConfig};
 
 /// Batches a worker drains from one lane before giving others a turn.
@@ -69,12 +78,11 @@ const SPIN_ROUNDS: u32 = 64;
 /// Parked workers re-check their flags at least this often, so a lost
 /// wakeup costs bounded latency, never liveness.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
-/// How long a query waits for a fresher snapshot before serving the
-/// newest published view anyway (a stalled worker must not stall reads
+/// How long a query waits for its worker's answer before falling back to
+/// the newest published view (a stalled worker must not stall reads
 /// forever). An idle worker answers in microseconds — the generous
 /// bound only matters when the host starves the worker thread outright,
-/// where serving a stale (possibly still-empty) view would turn
-/// scheduler noise into wrong answers.
+/// where a fallback answer would turn scheduler noise into wrong ones.
 const SNAPSHOT_PATIENCE: Duration = Duration::from_secs(2);
 
 /// Largest accepted [`EngineConfig::batch_size`]; beyond this a batch
@@ -217,34 +225,37 @@ pub struct DrainReport {
     pub per_worker: Vec<u64>,
 }
 
-/// One merged heavy-hitter entry of a top-K answer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopFlow {
-    /// The flow.
-    pub key: FlowKey,
-    /// Estimated packets.
-    pub packets: f64,
-    /// Estimated bytes.
-    pub bytes: f64,
-}
-
-/// The global top-`k` flows by packets across shards: each shard's WSAF
-/// top-`k`, merged by packets descending, ties broken by key so the
-/// answer does not depend on shard order. Offline
-/// ([`crate::multicore::MultiCoreSystem::top_k_by_packets`]) and live
-/// ([`Engine::top_k`]) rankings both come from here.
-pub fn merge_top_k<'a>(
-    shards: impl IntoIterator<Item = &'a InstaMeasure>,
-    k: usize,
-) -> Vec<TopFlow> {
-    let mut all: Vec<TopFlow> = shards
-        .into_iter()
-        .flat_map(|im| im.wsaf().top_k_by_packets(k))
-        .map(|e| TopFlow { key: e.key, packets: e.packets, bytes: e.bytes })
-        .collect();
+/// The global top-`k` flows by packets across shards, from each shard's
+/// own top-`k` (`candidates`, in any order): merged by packets
+/// descending, ties broken by key so the answer does not depend on shard
+/// order. Offline ([`crate::multicore::MultiCoreSystem::top_k_by_packets`])
+/// and live ([`Engine::top_k`]) rankings both come from here.
+pub fn merge_top_k(candidates: impl IntoIterator<Item = TopFlow>, k: usize) -> Vec<TopFlow> {
+    let mut all: Vec<TopFlow> = candidates.into_iter().collect();
     all.sort_by(|a, b| b.packets.total_cmp(&a.packets).then_with(|| a.key.cmp(&b.key)));
     all.truncate(k);
     all
+}
+
+/// A question a reader posts in its shard's mailbox for the worker to
+/// answer from live state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Ask {
+    /// The flow's `(packets, bytes)` estimate.
+    Flow(FlowKey),
+    /// The shard's measurement telemetry (`regulator.*`, `wsaf.*`).
+    Telemetry,
+    /// The shard's top-`k` by packets. Views answer it from their index
+    /// records whenever those cover `k`; the worker answers the rest.
+    TopK(usize),
+}
+
+/// An answer to one [`Ask`].
+#[derive(Debug, Clone)]
+enum Answer {
+    Flow(f64, f64),
+    Telemetry(Snapshot),
+    TopK(Vec<TopFlow>),
 }
 
 /// A published point-in-time view of one shard.
@@ -253,18 +264,90 @@ struct ShardView {
     /// State version (batches applied, plus two per rotate) at publish.
     ver: u64,
     /// Measurement epoch this view belongs to. A rotation publishes the
-    /// *complete* retiring state stamped with the old epoch before the
-    /// reset, then the fresh state stamped with the new one — so merged
-    /// queries can demand one epoch across all shards.
+    /// *complete* retiring state stamped with the old epoch, then the
+    /// fresh state stamped with the new one — so merged queries can
+    /// demand one epoch across all shards.
     epoch: u64,
-    /// Clone of the shard pipeline at a batch boundary; `None` only in the
-    /// initial view of a batch-mode shard, which nothing queries.
-    im: Option<InstaMeasure>,
+    /// The WSAF's top-K index records at publish: its exact top
+    /// `top.len()` flows, in rank order.
+    top: Vec<TopFlow>,
+    /// WSAF-resident flows at publish (`top` holds all of them when the
+    /// two agree).
+    resident: usize,
+    /// The worker's answers, by question id, to every question posted in
+    /// the shard's mailbox at publish.
+    answers: Vec<(u64, Arc<Answer>)>,
+    /// The complete state this view stands for, when it holds one: a
+    /// rotation's retiring state or the post-drain final state. Readers
+    /// answer any question from it themselves.
+    state: Option<Arc<InstaMeasure>>,
 }
 
 impl ShardView {
-    fn im(&self) -> &InstaMeasure {
-        self.im.as_ref().expect("batch-mode shards are never queried")
+    /// A view of a whole state that no worker answers for any more.
+    fn of_state(ver: u64, epoch: u64, state: Arc<InstaMeasure>) -> Self {
+        ShardView {
+            ver,
+            epoch,
+            top: state.wsaf().top_index().collect(),
+            resident: state.wsaf().len(),
+            answers: Vec::new(),
+            state: Some(state),
+        }
+    }
+
+    /// Answers `ask` from this view alone — from the state it holds, its
+    /// index records, or the worker's answer to question `id` — or
+    /// `None` when it cannot. Top-k answers that fall off an index count
+    /// in `full_scans`.
+    fn answer(
+        &self,
+        ask: &Ask,
+        id: Option<u64>,
+        full_scans: &Counter<AtomicCell>,
+    ) -> Option<Answer> {
+        if let Some(im) = &self.state {
+            return Some(answer_from(im, ask, full_scans));
+        }
+        if let Ask::TopK(k) = *ask {
+            if k <= self.top.len() || self.top.len() == self.resident {
+                return Some(Answer::TopK(self.top.iter().take(k).copied().collect()));
+            }
+        }
+        let id = id?;
+        self.answers.iter().find(|(q, _)| *q == id).map(|(_, a)| Answer::clone(a))
+    }
+
+    /// The best answer this view gives without its worker: the index
+    /// records for a top-k (possibly fewer than asked), a listed flow's
+    /// WSAF counters (0 for an unlisted one, the filter residual left
+    /// out), and no shard telemetry.
+    fn fallback(&self, ask: &Ask) -> Answer {
+        match *ask {
+            Ask::Flow(key) => {
+                let hit = self.top.iter().find(|r| r.key == key);
+                hit.map_or(Answer::Flow(0.0, 0.0), |r| Answer::Flow(r.packets, r.bytes))
+            }
+            Ask::Telemetry => Answer::Telemetry(Snapshot::new()),
+            Ask::TopK(k) => Answer::TopK(self.top.iter().take(k).copied().collect()),
+        }
+    }
+}
+
+/// Answers `ask` from a whole shard state.
+fn answer_from(im: &InstaMeasure, ask: &Ask, full_scans: &Counter<AtomicCell>) -> Answer {
+    match *ask {
+        Ask::Flow(key) => {
+            let (packets, bytes) = im.estimate(&key);
+            Answer::Flow(packets, bytes)
+        }
+        Ask::Telemetry => Answer::Telemetry(im.telemetry()),
+        Ask::TopK(k) => {
+            if !im.wsaf().top_k_indexed(k) {
+                full_scans.inc();
+            }
+            Answer::TopK(im.wsaf().top_k_by_packets(k).iter().map(TopFlow::from).collect())
+        }
     }
 }
 
@@ -282,20 +365,19 @@ struct LanePort {
 
 /// Control requests a worker handles at a batch boundary.
 enum Control {
-    Rotate(Arc<RotateSync>),
+    /// Swap in `fresh` (built off the worker) and retire the old state.
+    Rotate { fresh: InstaMeasure, sync: Arc<RotateSync> },
 }
 
 struct RotateSync {
     retired: AtomicU64,
     remaining: AtomicUsize,
-    /// The epoch the rotation opens (workers stamp their post-reset
-    /// publications with it).
+    /// The epoch the rotation opens (workers stamp their publications of
+    /// the fresh state with it).
     new_epoch: u64,
-    /// When set, each worker parks a clone of its complete retiring
-    /// state in `snapshots[w]` before resetting — the detection
-    /// coordinator's per-shard epoch capture.
-    want_snapshots: bool,
-    snapshots: Mutex<Vec<Option<InstaMeasure>>>,
+    /// Each worker parks its complete retiring state in `states[w]` — the
+    /// same `Arc` its retiring view publishes — before acking.
+    states: Mutex<Vec<Option<Arc<InstaMeasure>>>>,
 }
 
 /// What one epoch rotation produced.
@@ -306,8 +388,9 @@ pub struct RotateOutcome {
     /// WSAF-resident flows retired across all shards.
     pub retired: u64,
     /// The complete retiring per-shard measurement states, indexed by
-    /// shard — populated only by [`Engine::rotate_with_snapshots`].
-    pub snapshots: Vec<InstaMeasure>,
+    /// shard: the very states the workers retired, shared with the views
+    /// that published them.
+    pub snapshots: Vec<Arc<InstaMeasure>>,
 }
 
 /// Everything shared between one worker thread, the lanes feeding it and
@@ -339,14 +422,16 @@ struct Shard {
     ver: AtomicU64,
     /// Bumped by readers that need a fresher view than the slot holds.
     snap_requests: AtomicU64,
+    /// Questions for the worker to answer in its next publication.
+    questions: Mailbox<Ask>,
     /// WSAF-resident flow count, maintained per batch so `status` polls
-    /// never force a snapshot clone.
+    /// never force a publication.
     flows_resident: AtomicU64,
     /// Test hook: nanoseconds the worker dawdles per batch.
     worker_stall: AtomicU64,
     /// Batch-mode shard ([`Engine::start_batch`]): nothing queries it and
-    /// its driver takes the final state from the join handle, so it holds
-    /// no initial view and skips the final publication.
+    /// its driver takes the final state from the join handle, so it skips
+    /// the final publication.
     batch: bool,
     cfg: InstaMeasureConfig,
 }
@@ -380,6 +465,7 @@ pub struct Engine {
     ring_stalls: Counter<AtomicCell>,
     snap_retries: Counter<AtomicCell>,
     epoch_retries: Counter<AtomicCell>,
+    full_scans: Counter<AtomicCell>,
     rejected: Counter<AtomicCell>,
     epoch: AtomicU64,
     drained: Mutex<Option<DrainReport>>,
@@ -391,8 +477,9 @@ pub(crate) struct WorkerExit {
     pub(crate) processed: u64,
     /// Wall time from the worker's start to its exit.
     pub(crate) busy_nanos: u64,
-    /// The shard state the worker owned.
-    pub(crate) im: InstaMeasure,
+    /// The shard state the worker owned, handed back by batch-mode
+    /// shards (a live shard publishes it in its final view instead).
+    pub(crate) im: Option<InstaMeasure>,
 }
 
 /// Per-worker context moved into the worker thread.
@@ -401,6 +488,7 @@ struct WorkerCtx {
     shard: Arc<Shard>,
     packets_ctr: Counter<AtomicCell>,
     publishes_ctr: Counter<AtomicCell>,
+    full_scans_ctr: Counter<AtomicCell>,
     pinned_ctr: Counter<AtomicCell>,
     pin_cpu: Option<usize>,
 }
@@ -419,8 +507,8 @@ impl Engine {
     }
 
     /// Boots an engine for one finite run that ends in
-    /// [`Engine::into_shards`]: its shards cannot be queried, so they skip
-    /// every snapshot copy of their state.
+    /// [`Engine::into_shards`]: its shards cannot be queried, so they hand
+    /// their final state back instead of publishing it.
     pub(crate) fn start_batch(cfg: &EngineConfig, registry: Arc<SharedRegistry>) -> Self {
         Self::boot(cfg, registry, true)
     }
@@ -446,10 +534,14 @@ impl Engine {
                     slot: SnapshotSlot::new(ShardView {
                         ver: 0,
                         epoch: 0,
-                        im: (!batch).then(|| InstaMeasure::new(cfg.per_worker)),
+                        top: Vec::new(),
+                        resident: 0,
+                        answers: Vec::new(),
+                        state: None,
                     }),
                     ver: AtomicU64::new(0),
                     snap_requests: AtomicU64::new(0),
+                    questions: Mailbox::new(),
                     flows_resident: AtomicU64::new(0),
                     worker_stall: AtomicU64::new(0),
                     batch,
@@ -465,6 +557,7 @@ impl Engine {
         let ring_stalls = registry.counter("service.ring.full_stalls");
         let snap_retries = registry.counter("service.snapshot.retries");
         let epoch_retries = registry.counter("service.snapshot.epoch_retries");
+        let full_scans = registry.counter("service.snapshot.full_scans");
         let rejected = registry.counter("service.ingest.rejected_packets");
         let publishes = registry.counter("service.snapshot.publishes");
         let pinned = registry.counter("service.workers.pinned");
@@ -495,6 +588,7 @@ impl Engine {
                 shard: Arc::clone(shard),
                 packets_ctr: registry.counter(&format!("service.worker{w}.packets")),
                 publishes_ctr: publishes.clone(),
+                full_scans_ctr: full_scans.clone(),
                 pinned_ctr: pinned.clone(),
                 pin_cpu: cfg.pin.then_some(w % cpus),
             };
@@ -527,6 +621,7 @@ impl Engine {
             ring_stalls,
             snap_retries,
             epoch_retries,
+            full_scans,
             rejected,
             epoch: AtomicU64::new(0),
             drained: Mutex::new(None),
@@ -614,84 +709,111 @@ impl Engine {
             .sum()
     }
 
-    /// A validated snapshot of shard `w`, no staler than the shard's
-    /// state at call time (worker permitting — a worker that fails to
-    /// publish within [`SNAPSHOT_PATIENCE`] serves the newest *published*
-    /// view instead of stalling the query; a shard that has never
-    /// published is waited out, never answered with the empty initial
-    /// view).
-    fn view(&self, w: usize) -> SnapshotRef<ShardView> {
+    /// One validated read of shard `w`'s newest view.
+    fn read_view(&self, w: usize) -> SnapshotRef<ShardView> {
+        let (view, retries) = self.shards[w].slot.read();
+        self.snap_retries.add(retries);
+        view
+    }
+
+    /// Asks shard `w` a question, answered no staler than the shard's
+    /// state at call time: from the newest view if it is fresh enough
+    /// and can answer alone, else by posting the question and waiting for
+    /// a view that answers it. Returns the answering view and the answer.
+    ///
+    /// A worker that fails to answer within [`SNAPSHOT_PATIENCE`] gets
+    /// the newest view's [`ShardView::fallback`] instead of stalling the
+    /// query; a shard that has never published is waited out, never
+    /// answered from its empty initial view.
+    fn ask(&self, w: usize, ask: Ask) -> (SnapshotRef<ShardView>, Answer) {
         let shard = &self.shards[w];
         let want = shard.ver.load(Ordering::Acquire);
-        let (view, retries) = shard.slot.read();
-        self.snap_retries.add(retries);
+        let view = self.read_view(w);
         if view.value.ver >= want {
-            return view;
+            if let Some(answer) = view.value.answer(&ask, None, &self.full_scans) {
+                return (view, answer);
+            }
         }
+        let id = shard.questions.post(ask);
         shard.snap_requests.fetch_add(1, Ordering::AcqRel);
         wake(shard);
         let deadline = Instant::now() + SNAPSHOT_PATIENCE;
-        loop {
-            let (view, retries) = shard.slot.read();
-            self.snap_retries.add(retries);
+        let answered = loop {
+            let view = self.read_view(w);
             if view.value.ver >= want {
-                return view;
+                if let Some(answer) = view.value.answer(&ask, Some(id), &self.full_scans) {
+                    break (view, answer);
+                }
             }
             if !shard.running.load(Ordering::Acquire) {
-                // The worker exited; its final exact publication is
-                // ordered before `running := false`, so re-read once.
-                let (view, retries) = shard.slot.read();
-                self.snap_retries.add(retries);
-                return view;
+                // The worker exited; its final view, which holds the
+                // whole state, is ordered before `running := false`.
+                let view = self.read_view(w);
+                let answer = view
+                    .value
+                    .answer(&ask, Some(id), &self.full_scans)
+                    .expect("a drained shard's view holds its final state");
+                break (view, answer);
             }
-            // Serving a *stale* view on deadline is bounded staleness;
-            // serving the never-published initial view would answer
-            // "empty" for a shard that holds data. The worker is alive
-            // (`running`) and publishes on request within one loop
-            // round, so waiting out the first publication terminates.
+            // Falling back on deadline is bounded staleness; answering
+            // from the never-published initial view would answer "empty"
+            // for a shard that holds data. The worker is alive
+            // (`running`) and answers within one loop round, so waiting
+            // out the first publication terminates.
             if Instant::now() >= deadline && view.value.ver > 0 {
-                return view;
+                let answer = view.value.fallback(&ask);
+                break (view, answer);
             }
             wake(shard);
             thread::sleep(Duration::from_micros(20));
+        };
+        shard.questions.withdraw(id);
+        answered
+    }
+
+    /// Per-flow estimate `(packets, bytes)` answered by the owning shard's
+    /// worker from live state — WSAF accumulation plus sketch residual,
+    /// the paper's instant query. The key is digested once; both halves of
+    /// the answer derive from that single hash ([`InstaMeasure::estimate`]).
+    #[must_use]
+    pub fn estimate(&self, key: &FlowKey) -> (f64, f64) {
+        match self.ask(worker_for(key, self.shards.len()), Ask::Flow(*key)).1 {
+            Answer::Flow(packets, bytes) => (packets, bytes),
+            other => unreachable!("a flow question answered with {other:?}"),
         }
     }
 
-    /// Per-flow estimate `(packets, bytes)` from the owning shard's
-    /// snapshot — WSAF accumulation plus sketch residual, the paper's
-    /// instant query. The key is digested once; both halves of the answer
-    /// derive from that single hash ([`InstaMeasure::estimate`]).
-    #[must_use]
-    pub fn estimate(&self, key: &FlowKey) -> (f64, f64) {
-        let view = self.view(worker_for(key, self.shards.len()));
-        view.value.im().estimate(key)
-    }
-
     /// Merged top-`k` flows by packets across all shards ([`merge_top_k`],
-    /// the same merge the offline CLI prints). The per-shard snapshots
-    /// are epoch-validated *and* mutually epoch-consistent — a merge
-    /// racing a rotation sees either every shard's retiring state or
-    /// every shard's fresh state, never a mix. Ingest never pauses.
+    /// the same merge the offline CLI prints), each shard's top-`k` read
+    /// from its published index records (the worker answers deeper
+    /// questions). The per-shard answers are epoch-validated *and*
+    /// mutually epoch-consistent — a merge racing a rotation sees either
+    /// every shard's retiring state or every shard's fresh state, never a
+    /// mix. Ingest never pauses.
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<TopFlow> {
-        let views = self.consistent_views();
-        merge_top_k(views.iter().map(|v| v.value.im()), k)
+        let per_shard =
+            self.ask_all(Ask::TopK(k)).into_iter().flat_map(|(_, answer)| match answer {
+                Answer::TopK(flows) => flows,
+                other => unreachable!("a top-k question answered with {other:?}"),
+            });
+        merge_top_k(per_shard, k)
     }
 
-    /// One epoch-validated snapshot per shard, retried until every view
+    /// [`Engine::ask`] of every shard, retried until every answering view
     /// carries the *same* epoch. During a rotation the shards flip to
     /// the new epoch at their own batch boundaries; the handful of
     /// microseconds where they disagree is waited out (counted in
     /// `service.snapshot.epoch_retries`), bounded by the same patience
     /// as single-shard reads — on deadline the freshest mix is served
     /// rather than stalling the caller forever.
-    fn consistent_views(&self) -> Vec<SnapshotRef<ShardView>> {
+    fn ask_all(&self, ask: Ask) -> Vec<(SnapshotRef<ShardView>, Answer)> {
         let deadline = Instant::now() + SNAPSHOT_PATIENCE;
         loop {
-            let views: Vec<_> = (0..self.shards.len()).map(|w| self.view(w)).collect();
-            let epoch0 = views[0].value.epoch;
-            if views.iter().all(|v| v.value.epoch == epoch0) || Instant::now() >= deadline {
-                return views;
+            let answers: Vec<_> = (0..self.shards.len()).map(|w| self.ask(w, ask)).collect();
+            let epoch0 = answers[0].0.value.epoch;
+            if answers.iter().all(|(v, _)| v.value.epoch == epoch0) || Instant::now() >= deadline {
+                return answers;
             }
             self.epoch_retries.inc();
             thread::sleep(Duration::from_micros(20));
@@ -706,75 +828,66 @@ impl Engine {
         self.shards.iter().map(|s| s.flows_resident.load(Ordering::Acquire)).sum()
     }
 
-    /// Rotates the measurement epoch: resets every shard and bumps the
-    /// epoch counter. Returns `(new_epoch, flows_retired)`. Live shards
-    /// rotate at a batch boundary inside their owning worker; packets
-    /// racing the rotation land entirely in the old or entirely in the
-    /// new epoch of their one shard.
+    /// Rotates the measurement epoch: every shard starts over from fresh
+    /// state and the epoch counter bumps. Returns `(new_epoch,
+    /// flows_retired)`. Live shards rotate at a batch boundary inside
+    /// their owning worker; packets racing the rotation land entirely in
+    /// the old or entirely in the new epoch of their one shard.
     pub fn rotate(&self) -> (u64, u64) {
-        let outcome = self.rotate_inner(false);
+        let outcome = self.rotate_with_snapshots();
         (outcome.epoch, outcome.retired)
     }
 
-    /// Rotates the epoch and additionally returns every shard's
-    /// *complete* retiring measurement state — the per-shard epoch
-    /// capture streaming detection consumes. Each worker clones its
-    /// state at its own rotation boundary, before the reset, so the
-    /// captured shards jointly form exactly the closed epoch.
+    /// Rotates the epoch and returns every shard's *complete* retiring
+    /// measurement state — the per-shard epoch capture streaming
+    /// detection consumes. This thread builds each shard's fresh state;
+    /// each worker swaps it in at its own rotation boundary and hands the
+    /// retired one over whole (moved, never copied), so the captured
+    /// shards jointly form exactly the closed epoch.
     pub fn rotate_with_snapshots(&self) -> RotateOutcome {
-        self.rotate_inner(true)
-    }
-
-    fn rotate_inner(&self, want_snapshots: bool) -> RotateOutcome {
         // The drain lock serializes rotations, so the epoch arithmetic
         // below is race-free.
         let drained = lock(&self.drained);
         let new_epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        let mut snapshots: Vec<InstaMeasure> = Vec::new();
-        let retired = if drained.is_some() {
+        let (retired, snapshots) = if drained.is_some() {
             // Workers have exited; the engine is the (sole, serialized by
-            // the drain lock) writer now. Retire what the final exact
-            // views hold and publish fresh empty state.
+            // the drain lock) writer now. Retire what the final views
+            // hold and publish fresh empty state.
             let mut retired = 0u64;
-            for shard in &self.shards {
-                let (view, retries) = shard.slot.read();
-                self.snap_retries.add(retries);
-                retired += view.value.im().wsaf().len() as u64;
-                if want_snapshots {
-                    snapshots.push(view.value.im().clone());
-                }
+            let mut snapshots = Vec::with_capacity(self.shards.len());
+            for (w, shard) in self.shards.iter().enumerate() {
+                let view = self.read_view(w);
+                let state =
+                    view.value.state.clone().expect("a drained shard's view holds its state");
+                retired += state.wsaf().len() as u64;
+                snapshots.push(state);
                 let ver = shard.ver.fetch_add(1, Ordering::AcqRel) + 1;
-                shard.slot.publish(ShardView {
-                    ver,
-                    epoch: new_epoch,
-                    im: Some(InstaMeasure::new(shard.cfg)),
-                });
+                let fresh = Arc::new(InstaMeasure::new(shard.cfg));
+                shard.slot.publish(ShardView::of_state(ver, new_epoch, fresh));
                 shard.flows_resident.store(0, Ordering::Release);
             }
-            retired
+            (retired, snapshots)
         } else {
             let sync = Arc::new(RotateSync {
                 retired: AtomicU64::new(0),
                 remaining: AtomicUsize::new(self.shards.len()),
                 new_epoch,
-                want_snapshots,
-                snapshots: Mutex::new((0..self.shards.len()).map(|_| None).collect()),
+                states: Mutex::new((0..self.shards.len()).map(|_| None).collect()),
             });
             for shard in &self.shards {
-                lock(&shard.control).push(Control::Rotate(Arc::clone(&sync)));
+                let fresh = InstaMeasure::new(shard.cfg);
+                lock(&shard.control).push(Control::Rotate { fresh, sync: Arc::clone(&sync) });
                 shard.control_flag.store(true, Ordering::Release);
                 wake(shard);
             }
             while sync.remaining.load(Ordering::Acquire) > 0 {
                 thread::yield_now();
             }
-            if want_snapshots {
-                snapshots = lock(&sync.snapshots)
-                    .drain(..)
-                    .map(|s| s.expect("every worker parks its snapshot before acking"))
-                    .collect();
-            }
-            sync.retired.load(Ordering::Acquire)
+            let snapshots = lock(&sync.states)
+                .drain(..)
+                .map(|s| s.expect("every worker parks its retired state before acking"))
+                .collect();
+            (sync.retired.load(Ordering::Acquire), snapshots)
         };
         self.epoch.store(new_epoch, Ordering::Relaxed);
         drop(drained);
@@ -783,13 +896,17 @@ impl Engine {
     }
 
     /// The service registry (`service.*` metrics) merged with every
-    /// shard's measurement telemetry (`regulator.*`, `wsaf.*`), read from
-    /// epoch-validated snapshots.
+    /// shard's measurement telemetry (`regulator.*`, `wsaf.*`), answered
+    /// by the workers from epoch-consistent live state.
     #[must_use]
     pub fn full_telemetry(&self) -> Snapshot {
+        let shards = self.ask_all(Ask::Telemetry);
         let mut snap = self.registry.snapshot();
-        for view in self.consistent_views() {
-            snap.merge(&view.value.im().telemetry());
+        for (_, answer) in shards {
+            match answer {
+                Answer::Telemetry(shard) => snap.merge(&shard),
+                other => unreachable!("a telemetry question answered with {other:?}"),
+            }
         }
         snap
     }
@@ -870,19 +987,26 @@ impl Engine {
     #[doc(hidden)]
     #[must_use]
     pub fn debug_shard_view_meta(&self, w: usize) -> (u64, u64) {
-        let (view, retries) = self.shards[w].slot.read();
-        self.snap_retries.add(retries);
+        let view = self.read_view(w);
         (view.stamp, view.value.ver)
     }
 
-    /// Test hook: a full clone of shard `w`'s measurement state, read
-    /// through the same validated-snapshot path as queries. The
-    /// differential suites diff this against an offline replay of the
-    /// shard's exact packet stream.
+    /// Test hook: a full copy of drained shard `w`'s final measurement
+    /// state, read through the same validated-snapshot path as queries.
+    /// The differential suites diff this against an offline replay of
+    /// the shard's exact packet stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the engine has drained.
     #[doc(hidden)]
     #[must_use]
     pub fn debug_shard_measurement(&self, w: usize) -> InstaMeasure {
-        self.view(w).value.im().clone()
+        assert!(!self.shards[w].running.load(Ordering::Acquire), "the engine must drain first");
+        let view = self.read_view(w);
+        InstaMeasure::clone(
+            view.value.state.as_ref().expect("a drained shard's view holds its state"),
+        )
     }
 
     /// Test hook: one epoch-consistent merged read, returning the epoch
@@ -893,9 +1017,9 @@ impl Engine {
     #[doc(hidden)]
     #[must_use]
     pub fn debug_consistent_view(&self) -> Vec<(u64, usize)> {
-        self.consistent_views()
+        self.ask_all(Ask::TopK(0))
             .into_iter()
-            .map(|v| (v.value.epoch, v.value.im().wsaf().len()))
+            .map(|(v, _)| (v.value.epoch, v.value.resident))
             .collect()
     }
 }
@@ -915,7 +1039,7 @@ impl Instrumented for Engine {
 }
 
 /// The owning worker: drains its lanes' rings, applies batches to its
-/// private `InstaMeasure`, publishes snapshots on request, and exits only
+/// private `InstaMeasure`, publishes views on request, and exits only
 /// after the drain handshake has emptied and closed every ring.
 fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> WorkerExit {
     let started = Instant::now();
@@ -929,7 +1053,7 @@ fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> WorkerExit {
     let mut seen_gen = 0u64;
     let mut processed = 0u64;
     let mut served_snaps = 0u64;
-    let mut last_pub_ver = 0u64;
+    let mut published = Published::default();
     let mut epoch = 0u64;
     let mut idle_rounds = 0u32;
 
@@ -966,36 +1090,37 @@ fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> WorkerExit {
             let pending: Vec<Control> = lock(&shard.control).drain(..).collect();
             for ctl in pending {
                 match ctl {
-                    Control::Rotate(sync) => {
-                        sync.retired.fetch_add(im.wsaf().len() as u64, Ordering::AcqRel);
+                    Control::Rotate { fresh, sync } => {
+                        let retired = Arc::new(std::mem::replace(&mut im, fresh));
+                        sync.retired.fetch_add(retired.wsaf().len() as u64, Ordering::AcqRel);
                         // Publish the *complete* retiring state, stamped
-                        // with the closing epoch, before the reset.
+                        // with the closing epoch, before the fresh one.
                         // Queries racing the rotation (their freshness
                         // `want` was captured pre-rotate) are satisfied
-                        // by this view instead of the post-reset empty
-                        // one — the old code dropped the pre-rotation
-                        // snapshot here and answered "empty" for a
-                        // shard that held a full epoch of flows.
-                        shard.ver.fetch_add(1, Ordering::Release);
-                        publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
-                        if sync.want_snapshots {
-                            lock(&sync.snapshots)[ctx.index] = Some(im.clone());
-                        }
-                        im.reset();
+                        // by this view instead of the fresh empty one.
+                        let ver = shard.ver.fetch_add(1, Ordering::Release) + 1;
+                        shard.slot.publish(ShardView::of_state(ver, epoch, Arc::clone(&retired)));
+                        ctx.publishes_ctr.inc();
+                        // The rotating thread takes this reference, so the
+                        // retired state is freed there, not here.
+                        lock(&sync.states)[ctx.index] = Some(retired);
                         epoch = sync.new_epoch;
                         shard.flows_resident.store(0, Ordering::Release);
                         shard.ver.fetch_add(1, Ordering::Release);
-                        publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
+                        // Answers given before the swap belong to the old
+                        // epoch; the fresh view answers everything anew.
+                        published = Published::default();
+                        publish(ctx, &mut im, epoch, &mut published);
                         sync.remaining.fetch_sub(1, Ordering::AcqRel);
                     }
                 }
             }
         }
 
-        // Publish a snapshot if any reader asked since the last one.
+        // Publish a view if any reader asked since the last one.
         let want = shard.snap_requests.load(Ordering::Acquire);
         if want != served_snaps {
-            publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
+            publish(ctx, &mut im, epoch, &mut published);
             served_snaps = want;
         }
 
@@ -1007,12 +1132,16 @@ fn worker_loop(ctx: &WorkerCtx, mut im: InstaMeasure) -> WorkerExit {
         if shard.draining.load(Ordering::Acquire) {
             final_sweep(shard, &mut im, &mut lanes, &mut processed, &ctx.packets_ctr);
             // The last act before `running := false` is publishing the
-            // exact end-of-stream state; queries re-read after observing
-            // the flag, so post-drain answers are bit-exact.
-            if !shard.batch {
-                shard.ver.fetch_add(1, Ordering::Release);
-                publish(shard, &im, epoch, &mut last_pub_ver, &ctx.publishes_ctr);
-            }
+            // exact end-of-stream state, whole; queries re-read after
+            // observing the flag, so post-drain answers are bit-exact.
+            let im = if shard.batch {
+                Some(im)
+            } else {
+                let ver = shard.ver.fetch_add(1, Ordering::Release) + 1;
+                shard.slot.publish(ShardView::of_state(ver, epoch, Arc::new(im)));
+                ctx.publishes_ctr.inc();
+                None
+            };
             shard.running.store(false, Ordering::Release);
             let busy_nanos = started.elapsed().as_nanos() as u64;
             return WorkerExit { processed, busy_nanos, im };
@@ -1057,22 +1186,58 @@ fn recycle(lane: &mut LaneRings, mut batch: Vec<PacketRecord>) {
     let _ = lane.ret.push(batch);
 }
 
-/// Publishes the current state unless the newest publication already
-/// carries it (idle polls clone nothing).
-fn publish(
-    shard: &Shard,
-    im: &InstaMeasure,
-    epoch: u64,
-    last_pub_ver: &mut u64,
-    publishes_ctr: &Counter<AtomicCell>,
-) {
+/// What the worker's newest live-state publication carried.
+#[derive(Default)]
+struct Published {
+    ver: u64,
+    answers: Vec<(u64, Arc<Answer>)>,
+}
+
+/// Publishes a view of the live state — version, epoch, the WSAF's top-K
+/// index records and answers to every posted question — unless the
+/// newest publication already carries the same version and answers
+/// (idle polls publish nothing). Answers to questions still posted are
+/// carried over, not recomputed; top-k questions the index records
+/// cover need no answer of their own.
+fn publish(ctx: &WorkerCtx, im: &mut InstaMeasure, epoch: u64, published: &mut Published) {
+    let shard = &*ctx.shard;
     let ver = shard.ver.load(Ordering::Acquire);
-    if ver == *last_pub_ver {
+    let mut fresh = false;
+    let mut answers = Vec::new();
+    for (id, ask) in shard.questions.pending() {
+        if let Some((_, answer)) = published.answers.iter().find(|(q, _)| *q == id) {
+            answers.push((id, Arc::clone(answer)));
+            continue;
+        }
+        if let Ask::TopK(k) = ask {
+            if im.wsaf().top_k_indexed(k) {
+                continue;
+            }
+            if k <= TOP_INDEX_K {
+                // One full scan refills the index, so this and later
+                // questions of this depth read the published records.
+                ctx.full_scans_ctr.inc();
+                im.rebuild_top_index();
+                fresh = true;
+                continue;
+            }
+        }
+        fresh = true;
+        answers.push((id, Arc::new(answer_from(im, &ask, &ctx.full_scans_ctr))));
+    }
+    if ver == published.ver && !fresh {
         return;
     }
-    shard.slot.publish(ShardView { ver, epoch, im: Some(im.clone()) });
-    *last_pub_ver = ver;
-    publishes_ctr.inc();
+    shard.slot.publish(ShardView {
+        ver,
+        epoch,
+        top: im.wsaf().top_index().collect(),
+        resident: im.wsaf().len(),
+        answers: answers.clone(),
+        state: None,
+    });
+    *published = Published { ver, answers };
+    ctx.publishes_ctr.inc();
 }
 
 /// Shutdown sweep: latch registration closed, then empty and close every
@@ -1425,6 +1590,39 @@ mod tests {
         for w in top.windows(2) {
             assert!(w[0].packets >= w[1].packets, "top-k must be sorted");
         }
+    }
+
+    #[test]
+    fn top_k_reads_the_index_and_scans_only_past_it() {
+        // 3000 flows of 200 packets each: most saturate the small
+        // regulator into the one shard's WSAF, more than the index holds.
+        let engine = test_engine(1);
+        let mut lane = engine.lane().unwrap();
+        let recs: Vec<PacketRecord> =
+            (0..600_000u64).map(|t| PacketRecord::new(key(t as u32 % 3000), 100, t)).collect();
+        lane.submit(&recs).unwrap();
+        lane.flush().unwrap();
+        while engine.packets_processed() < recs.len() as u64 {
+            thread::yield_now();
+        }
+        let mut offline = InstaMeasure::new(InstaMeasureConfig::default().small_for_tests());
+        offline.process_batch(&recs);
+        assert!(offline.wsaf().len() > TOP_INDEX_K + 1, "the shard must outgrow its index");
+        let scans = || engine.full_telemetry().counter("service.snapshot.full_scans");
+        let expect = |k: usize| -> Vec<TopFlow> {
+            merge_top_k(offline.wsaf().top_k_by_packets(k).iter().map(TopFlow::from), k)
+        };
+
+        assert_eq!(engine.top_k(TOP_INDEX_K), expect(TOP_INDEX_K), "from the index");
+        assert_eq!(engine.top_k(10), expect(10));
+        assert_eq!(scans(), Some(0), "the index covers k <= TOP_INDEX_K");
+        assert_eq!(engine.top_k(TOP_INDEX_K + 1), expect(TOP_INDEX_K + 1), "from a scan");
+        assert_eq!(scans(), Some(1), "one full scan past the index");
+        drop(lane);
+        engine.drain();
+        // The final view holds the whole state; the same rule applies.
+        assert_eq!(engine.top_k(TOP_INDEX_K + 1), expect(TOP_INDEX_K + 1));
+        assert_eq!(scans(), Some(2));
     }
 
     #[test]

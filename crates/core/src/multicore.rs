@@ -47,7 +47,7 @@ use instameasure_telemetry::{
     HistogramSnapshot, Instrumented, LogHistogram, MetricValue, SharedRegistry, Snapshot,
 };
 
-use crate::engine::{merge_top_k, BackpressurePolicy, Engine, EngineConfig};
+use crate::engine::{merge_top_k, BackpressurePolicy, Engine, EngineConfig, TopFlow};
 use crate::InstaMeasure;
 
 /// Routes a flow to its worker: popcount of the source address mod `N`
@@ -119,7 +119,12 @@ impl MultiCoreSystem {
     /// ties ordered by key, the same ranking the live engine serves).
     #[must_use]
     pub fn top_k_by_packets(&self, k: usize) -> Vec<(FlowKey, f64)> {
-        merge_top_k(&self.shards, k).into_iter().map(|f| (f.key, f.packets)).collect()
+        let per_shard = self
+            .shards
+            .iter()
+            .flat_map(|im| im.wsaf().top_k_by_packets(k))
+            .map(|e| TopFlow::from(&e));
+        merge_top_k(per_shard, k).into_iter().map(|f| (f.key, f.packets)).collect()
     }
 }
 
@@ -299,7 +304,8 @@ where
         dropped,
         telemetry,
     };
-    (MultiCoreSystem { shards: exits.into_iter().map(|e| e.im).collect() }, report)
+    let shards = exits.into_iter().map(|e| e.im.expect("batch-mode shards hand back their state"));
+    (MultiCoreSystem { shards: shards.collect() }, report)
 }
 
 #[cfg(test)]

@@ -30,16 +30,23 @@
 //! `Acquire` therefore observes the swapped slot, and equality of the
 //! before/after loads plus the embedded stamp proves the slot belonged to
 //! that publication interval.
+//!
+//! A [`Mailbox`] carries the other direction: questions readers post for
+//! the writer to answer *inside* its next publication. A question stays
+//! posted until its reader withdraws it, so every publication from the
+//! one that first answers it until the withdrawal carries its answer —
+//! a reader that misses one publication finds the answer in the next,
+//! and no question is lost.
 
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(loom))]
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 #[cfg(loom)]
 use loom::sync::atomic::{AtomicU64, Ordering};
 #[cfg(loom)]
-use loom::sync::{Arc, RwLock};
+use loom::sync::{Arc, Mutex, RwLock};
 
 /// A published value plus the (even) stamp of its publication.
 #[derive(Debug)]
@@ -128,6 +135,55 @@ impl<T> SnapshotSlot<T> {
             #[cfg(loom)]
             loom::thread::yield_now();
         }
+    }
+}
+
+/// Questions posted to one slot's writer (see module docs): readers
+/// [`post`](Mailbox::post) and later [`withdraw`](Mailbox::withdraw);
+/// the writer reads what is [`pending`](Mailbox::pending) when it
+/// publishes and answers each question in the published view.
+#[derive(Debug)]
+pub struct Mailbox<Q> {
+    next_id: AtomicU64,
+    questions: Mutex<Vec<(u64, Q)>>,
+}
+
+impl<Q: Clone> Mailbox<Q> {
+    /// An empty mailbox.
+    #[must_use]
+    pub fn new() -> Self {
+        Mailbox { next_id: AtomicU64::new(0), questions: Mutex::new(Vec::new()) }
+    }
+
+    /// Posts a question, returning its id (unique per mailbox).
+    pub fn post(&self, question: Q) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.lock().push((id, question));
+        id
+    }
+
+    /// Withdraws question `id` once its reader has its answer (or gave
+    /// up); later publications stop answering it.
+    pub fn withdraw(&self, id: u64) {
+        self.lock().retain(|(q, _)| *q != id);
+    }
+
+    /// Every posted, unwithdrawn question with its id, oldest first.
+    #[must_use]
+    pub fn pending(&self) -> Vec<(u64, Q)> {
+        self.lock().clone()
+    }
+
+    fn lock(&self) -> impl core::ops::DerefMut<Target = Vec<(u64, Q)>> + '_ {
+        // Every update is one push or retain, so a poisoned list is
+        // still whole.
+        self.questions.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl<Q: Clone> Default for Mailbox<Q> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

@@ -221,10 +221,10 @@ impl InstaMeasureConfig {
 /// the filter (the residual), which is what makes query results *instant*
 /// rather than waiting for a collector round-trip.
 ///
-/// `Clone` is deliberate: the live service's thread-per-shard engine
-/// publishes point-in-time snapshots of a shard by cloning its pipeline
-/// at a batch boundary, so queries read a consistent immutable view while
-/// the owning worker keeps ingesting.
+/// `Clone` copies both structures whole — tens of megabytes at the
+/// default size — so the live engine never clones a shard: its worker
+/// answers queries from live state and a rotation moves the retiring
+/// state out whole ([`crate::engine`]).
 #[derive(Debug, Clone)]
 pub struct InstaMeasure {
     filter: AnyFilter,
@@ -380,6 +380,12 @@ impl InstaMeasure {
     #[must_use]
     pub fn wsaf(&self) -> &WsafTable {
         &self.wsaf
+    }
+
+    /// Refills the WSAF's top-K index from a full scan
+    /// ([`WsafTable::rebuild_top_index`]) after removals shrank it.
+    pub fn rebuild_top_index(&mut self) {
+        self.wsaf.rebuild_top_index();
     }
 
     /// Drains WSAF entries idle past their expiry at time `now` into

@@ -1,6 +1,7 @@
-//! Model checks for the two concurrency kernels under `--cfg loom`:
-//! the SPSC batch ring ([`instameasure_core::ring`]) and the
-//! epoch-stamped snapshot slot ([`instameasure_core::snapshot`]).
+//! Model checks for the concurrency kernels under `--cfg loom`: the SPSC
+//! batch ring ([`instameasure_core::ring`]), the epoch-stamped snapshot
+//! slot and the question mailbox beside it
+//! ([`instameasure_core::snapshot`]).
 //!
 //! Built and run only as
 //!
@@ -17,7 +18,7 @@
 #![cfg(loom)]
 
 use instameasure_core::ring::{ring, PushError};
-use instameasure_core::snapshot::SnapshotSlot;
+use instameasure_core::snapshot::{Mailbox, SnapshotSlot};
 use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 use loom::thread;
@@ -177,5 +178,81 @@ fn snapshot_version_handshake_is_monotone() {
             thread::yield_now();
         }
         publisher.join().unwrap();
+    });
+}
+
+/// The engine's question protocol in miniature: a reader captures its
+/// freshness floor `want`, posts a question and bumps the request
+/// counter; the worker, which keeps applying batches (bumping the
+/// version), drains the mailbox whenever the counter moves and publishes
+/// one view answering every pending question, carrying earlier answers
+/// forward as the engine does. Every validated view the reader accepts
+/// answers its question at a version `>= want`, and the question is never
+/// lost: the reader always finds its answer.
+#[test]
+fn mailbox_questions_are_answered_in_fresh_views_and_never_lost() {
+    loom::model(|| {
+        let ver = Arc::new(AtomicU64::new(0));
+        let requests = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicU64::new(0));
+        let mailbox = Arc::new(Mailbox::<u64>::new());
+        // A view: (version, [(question id, (answer, version answered at))]).
+        type View = (u64, Vec<(u64, (u64, u64))>);
+        let slot = Arc::new(SnapshotSlot::<View>::new((0, Vec::new())));
+
+        let worker = {
+            let (ver, requests, done) =
+                (Arc::clone(&ver), Arc::clone(&requests), Arc::clone(&done));
+            let (mailbox, slot) = (Arc::clone(&mailbox), Arc::clone(&slot));
+            thread::spawn(move || {
+                let mut served = 0u64;
+                let mut answered: Vec<(u64, (u64, u64))> = Vec::new();
+                let mut batches = 0u64;
+                while done.load(Ordering::Acquire) == 0 {
+                    if batches < 2 {
+                        batches += 1;
+                        ver.fetch_add(1, Ordering::Release);
+                    }
+                    let want = requests.load(Ordering::Acquire);
+                    if want != served {
+                        let v = ver.load(Ordering::Acquire);
+                        answered = mailbox
+                            .pending()
+                            .into_iter()
+                            .map(|(id, q)| match answered.iter().find(|(a, _)| *a == id) {
+                                Some(&carried) => carried,
+                                None => (id, (q * 10, v)),
+                            })
+                            .collect();
+                        slot.publish((v, answered.clone()));
+                        served = want;
+                    }
+                    thread::yield_now();
+                }
+            })
+        };
+
+        let want = ver.load(Ordering::Acquire);
+        let id = mailbox.post(7);
+        requests.fetch_add(1, Ordering::AcqRel);
+        let mut answer = None;
+        for _ in 0..100_000 {
+            let (view, _) = slot.read();
+            let (v, answers) = &view.value;
+            if *v >= want {
+                if let Some(&(_, (a, at))) = answers.iter().find(|(q, _)| *q == id) {
+                    assert!(at >= want, "answered at version {at}, below the floor {want}");
+                    assert!(at <= *v, "a view carries an answer from its future");
+                    answer = Some(a);
+                    break;
+                }
+            }
+            thread::yield_now();
+        }
+        mailbox.withdraw(id);
+        done.store(1, Ordering::Release);
+        worker.join().unwrap();
+        assert_eq!(answer, Some(70), "the posted question was lost");
+        assert!(mailbox.pending().is_empty(), "withdrawn questions stay gone");
     });
 }

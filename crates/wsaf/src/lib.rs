@@ -41,5 +41,6 @@ mod table;
 
 pub use config::{EvictionPolicy, WsafConfig, WsafConfigBuilder, WsafConfigError};
 pub use table::{
-    triangular_probe_slot, AccumulateOutcome, FlowEntry, WsafDeposit, WsafStats, WsafTable,
+    triangular_probe_slot, AccumulateOutcome, FlowEntry, TopFlow, WsafDeposit, WsafStats,
+    WsafTable, TOP_INDEX_K,
 };

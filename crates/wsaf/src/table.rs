@@ -105,7 +105,64 @@ impl WsafStats {
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     occupied: bool,
+    /// The entry has a record in the table's top-K index.
+    indexed: bool,
     entry: FlowEntry,
+}
+
+/// Capacity of every table's exact top-K index: the largest `k` that
+/// [`WsafTable::top_k_by_packets`] answers without scanning the table.
+pub const TOP_INDEX_K: usize = 1024;
+
+/// A flow's ranking counters: one record of a top-k answer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TopFlow {
+    /// The flow.
+    pub key: FlowKey,
+    /// Estimated packets.
+    pub packets: f64,
+    /// Estimated bytes.
+    pub bytes: f64,
+}
+
+impl From<&FlowEntry> for TopFlow {
+    fn from(e: &FlowEntry) -> Self {
+        TopFlow { key: e.key, packets: e.packets, bytes: e.bytes }
+    }
+}
+
+/// A ranked table entry packed into one integer that sorts in rank
+/// order: the metric descending (in [`f64::total_cmp`] order), then the
+/// slot ascending — the order a stable sort of [`WsafTable::iter`] by
+/// the metric produces. Rank comparisons on the deposit path are thus
+/// single integer compares, and the index shifts 16 bytes per record
+/// it reorders. The low 16 bits name where an indexed flow's counters
+/// sit in `WsafTable::top_flows`, which stays put while its rank moves;
+/// slots are unique, so those bits never decide a comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank(u128);
+
+const _: () = assert!(TOP_INDEX_K <= 1 << 16, "index positions are 16-bit");
+
+impl Rank {
+    #[inline]
+    fn new(metric: f64, slot: usize, flow: usize) -> Self {
+        let bits = metric.to_bits();
+        // f64::total_cmp's order as an unsigned key, inverted so larger
+        // metrics sort first.
+        let ascending = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+        Rank(u128::from(!ascending) << 64 | u128::from(slot as u32) << 32 | flow as u128)
+    }
+
+    #[inline]
+    fn slot(self) -> usize {
+        (self.0 >> 32) as u32 as usize
+    }
+
+    #[inline]
+    fn flow(self) -> usize {
+        usize::from(self.0 as u16)
+    }
 }
 
 const EMPTY_ENTRY: FlowEntry = FlowEntry {
@@ -144,11 +201,25 @@ pub fn triangular_probe_slot(base: u64, i: u64, capacity: usize) -> usize {
 }
 
 /// The working set of active flows (see crate docs).
+///
+/// Every mutation also maintains an exact top-K index (at most
+/// [`TOP_INDEX_K`] records in rank order) under one invariant: every
+/// live entry outside the index ranks behind every record in it. The
+/// index therefore always holds the exact top `top.len()` flows, and all
+/// of them when it holds every live entry; removing an indexed entry
+/// shrinks it, and only a full scan ([`WsafTable::rebuild_top_index`])
+/// grows it back past what later deposits earn.
 #[derive(Debug, Clone)]
 pub struct WsafTable {
     cfg: WsafConfig,
     slots: Vec<Slot>,
     live: usize,
+    /// The top-K index in rank order.
+    top: Vec<Rank>,
+    /// Counters of each indexed flow, addressed by `Rank::flow`.
+    top_flows: Vec<TopFlow>,
+    /// `top_flows` positions no indexed flow uses.
+    free_flows: Vec<usize>,
     stats: WsafStats,
     /// Distribution of slots probed per [`WsafTable::accumulate`] — the
     /// paper's DRAM-cost metric, resolved beyond the average in `stats`.
@@ -161,8 +232,14 @@ impl WsafTable {
     pub fn new(cfg: WsafConfig) -> Self {
         WsafTable {
             cfg,
-            slots: vec![Slot { occupied: false, entry: EMPTY_ENTRY }; cfg.num_entries()],
+            slots: vec![
+                Slot { occupied: false, indexed: false, entry: EMPTY_ENTRY };
+                cfg.num_entries()
+            ],
             live: 0,
+            top: Vec::with_capacity(TOP_INDEX_K),
+            top_flows: Vec::with_capacity(TOP_INDEX_K),
+            free_flows: Vec::new(),
             stats: WsafStats::default(),
             probe_hist: LogHistogram::new(),
         }
@@ -279,10 +356,16 @@ impl WsafTable {
                 continue;
             }
             if slot.entry.flow_id == flow_id && slot.entry.key == *key {
+                let before = slot.entry.packets;
                 slot.entry.packets += est_pkts;
                 slot.entry.bytes += est_bytes;
                 slot.entry.last_ts = ts;
                 slot.entry.referenced = true;
+                if slot.indexed {
+                    self.index_reposition(idx, before);
+                } else {
+                    self.index_offer(idx);
+                }
                 self.stats.updates += 1;
                 self.probe_hist.observe(i as u64 + 1);
                 return AccumulateOutcome::Updated;
@@ -306,8 +389,9 @@ impl WsafTable {
         };
 
         if let Some(idx) = first_empty {
-            self.slots[idx] = Slot { occupied: true, entry: fresh };
+            self.slots[idx] = Slot { occupied: true, indexed: false, entry: fresh };
             self.live += 1;
+            self.index_offer(idx);
             self.stats.inserts += 1;
             return AccumulateOutcome::Inserted;
         }
@@ -316,7 +400,9 @@ impl WsafTable {
         // one (paper: GC piggybacks on the insertion probe).
         if let Some(idx) = expired {
             let evicted = self.slots[idx].entry.key;
+            self.index_remove(idx);
             self.slots[idx].entry = fresh;
+            self.index_offer(idx);
             self.stats.gc_reclaims += 1;
             self.stats.inserts += 1;
             return AccumulateOutcome::InsertedAfterGc { evicted };
@@ -348,10 +434,91 @@ impl WsafTable {
             }
         };
         let old = self.slots[idx].entry;
+        self.index_remove(idx);
         self.slots[idx].entry = fresh;
+        self.index_offer(idx);
         self.stats.evictions += 1;
         self.stats.inserts += 1;
         AccumulateOutcome::InsertedAfterEviction { evicted: old.key, evicted_packets: old.packets }
+    }
+
+    /// The rank of slot `idx`'s entry by packets, with flow position 0:
+    /// the lowest key of that rank.
+    #[inline]
+    fn rank_of(&self, idx: usize) -> Rank {
+        Rank::new(self.slots[idx].entry.packets, idx, 0)
+    }
+
+    /// Where the record ranked `rank` sits in (or would enter) the index.
+    #[inline]
+    fn index_position(&self, rank: Rank) -> usize {
+        self.top.partition_point(|r| *r < rank)
+    }
+
+    /// Offers slot `idx`'s live, unindexed entry to the index: it enters
+    /// if it ranks ahead of the last record, or if every other live entry
+    /// is already indexed and there is room. A full index first sheds its
+    /// last record, which still ranks ahead of everything outside.
+    #[inline]
+    fn index_offer(&mut self, idx: usize) {
+        let rank = self.rank_of(idx);
+        let ahead_of_last = self.top.last().is_some_and(|last| rank < *last);
+        let room_for_all = self.top.len() + 1 == self.live && self.top.len() < TOP_INDEX_K;
+        if !(ahead_of_last || room_for_all) {
+            return;
+        }
+        if self.top.len() == TOP_INDEX_K {
+            let shed = self.top.pop().expect("a full index has a last record");
+            self.slots[shed.slot()].indexed = false;
+            self.free_flows.push(shed.flow());
+        }
+        let counters = TopFlow::from(&self.slots[idx].entry);
+        let flow = match self.free_flows.pop() {
+            Some(flow) => {
+                self.top_flows[flow] = counters;
+                flow
+            }
+            None => {
+                self.top_flows.push(counters);
+                debug_assert!(self.top_flows.len() <= TOP_INDEX_K, "index positions leaked");
+                self.top_flows.len() - 1
+            }
+        };
+        let at = self.index_position(rank);
+        self.top.insert(at, Rank::new(counters.packets, idx, flow));
+        self.slots[idx].indexed = true;
+    }
+
+    /// Moves slot `idx`'s indexed record to its entry's new rank after
+    /// its packets changed from `before`.
+    fn index_reposition(&mut self, idx: usize, before: f64) {
+        let old = Rank::new(before, idx, 0);
+        let at = self.index_position(old);
+        let rank = self.rank_of(idx);
+        if old < rank {
+            // Fell back (a negative estimate): re-offer, since entries
+            // outside the index may now rank ahead of it.
+            self.free_flows.push(self.top.remove(at).flow());
+            self.slots[idx].indexed = false;
+            self.index_offer(idx);
+            return;
+        }
+        // Moved up (or stayed): shift only the records it overtook.
+        let flow = self.top[at].flow();
+        self.top_flows[flow] = TopFlow::from(&self.slots[idx].entry);
+        let to = self.top[..at].partition_point(|r| *r < rank);
+        self.top[to..=at].rotate_right(1);
+        self.top[to] = Rank::new(self.top_flows[flow].packets, idx, flow);
+    }
+
+    /// Drops slot `idx`'s record from the index, if it has one (call
+    /// before the slot's entry changes or leaves).
+    fn index_remove(&mut self, idx: usize) {
+        if self.slots[idx].indexed {
+            let at = self.index_position(self.rank_of(idx));
+            self.free_flows.push(self.top.remove(at).flow());
+            self.slots[idx].indexed = false;
+        }
     }
 
     /// Index (and metric value) of the window entry minimizing `metric`.
@@ -418,11 +585,13 @@ impl WsafTable {
         let flow_id = (h >> 32) as u32;
         for i in 0..self.cfg.probe_limit() {
             let idx = self.probe_index(h, i);
-            let slot = &mut self.slots[idx];
+            let slot = &self.slots[idx];
             if slot.occupied && slot.entry.flow_id == flow_id && slot.entry.key == *key {
-                slot.occupied = false;
+                let entry = slot.entry;
+                self.index_remove(idx);
+                self.slots[idx].occupied = false;
                 self.live -= 1;
-                return Some(slot.entry);
+                return Some(entry);
             }
         }
         None
@@ -433,23 +602,82 @@ impl WsafTable {
         self.slots.iter().filter(|s| s.occupied).map(|s| &s.entry)
     }
 
-    /// The `k` largest flows by packet count, descending.
+    /// The `k` largest flows by packet count, descending, ties in slot
+    /// order. Served in O(k) from the top-K index when
+    /// [`WsafTable::top_k_indexed`] says it covers `k`, otherwise by a
+    /// full scan; both give the same answer.
     #[must_use]
     pub fn top_k_by_packets(&self, k: usize) -> Vec<FlowEntry> {
-        self.top_k_by(k, |e| e.packets)
+        if self.top_k_indexed(k) {
+            self.top.iter().take(k).map(|r| self.slots[r.slot()].entry).collect()
+        } else {
+            self.top_k_by(k, |e| e.packets)
+        }
     }
 
-    /// The `k` largest flows by byte count, descending.
+    /// The `k` largest flows by byte count, descending, ties in slot
+    /// order (always a full scan).
     #[must_use]
     pub fn top_k_by_bytes(&self, k: usize) -> Vec<FlowEntry> {
         self.top_k_by(k, |e| e.bytes)
     }
 
+    /// Whether the top-K index alone answers a top-`k` query: it holds at
+    /// least `k` records, or every live entry.
+    #[must_use]
+    pub fn top_k_indexed(&self, k: usize) -> bool {
+        k <= self.top.len() || self.top.len() == self.live
+    }
+
+    /// The top-K index: the exact top `n` flows by packets (`n` at most
+    /// [`TOP_INDEX_K`]), in rank order — the first `n` of
+    /// [`WsafTable::top_k_by_packets`].
+    pub fn top_index(&self) -> impl ExactSizeIterator<Item = TopFlow> + '_ {
+        self.top.iter().map(|r| self.top_flows[r.flow()])
+    }
+
+    /// Refills the top-K index from a full scan, so it again holds the
+    /// top `min(TOP_INDEX_K, len())` flows after removals shrank it.
+    pub fn rebuild_top_index(&mut self) {
+        for r in &self.top {
+            self.slots[r.slot()].indexed = false;
+        }
+        let ranked = self.ranked(TOP_INDEX_K, |e| e.packets);
+        self.top.clear();
+        self.top_flows.clear();
+        self.free_flows.clear();
+        for (flow, r) in ranked.into_iter().enumerate() {
+            let slot = &mut self.slots[r.slot()];
+            slot.indexed = true;
+            self.top_flows.push(TopFlow::from(&slot.entry));
+            self.top.push(Rank::new(slot.entry.packets, r.slot(), flow));
+        }
+    }
+
     fn top_k_by(&self, k: usize, metric: impl Fn(&FlowEntry) -> f64) -> Vec<FlowEntry> {
-        let mut all: Vec<FlowEntry> = self.iter().copied().collect();
-        all.sort_by(|a, b| metric(b).total_cmp(&metric(a)));
-        all.truncate(k);
-        all
+        self.ranked(k, metric).into_iter().map(|r| self.slots[r.slot()].entry).collect()
+    }
+
+    /// The `k` best live entries by `metric`, in [`Rank`] order: a
+    /// linear-time selection over every live entry, then a sort of the
+    /// `k` survivors only.
+    fn ranked(&self, k: usize, metric: impl Fn(&FlowEntry) -> f64) -> Vec<Rank> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut ranked: Vec<Rank> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.occupied)
+            .map(|(idx, s)| Rank::new(metric(&s.entry), idx, 0))
+            .collect();
+        if k < ranked.len() {
+            ranked.select_nth_unstable(k - 1);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable();
+        ranked
     }
 
     /// Removes every entry idle longer than the expiry at time `now`
@@ -460,9 +688,18 @@ impl WsafTable {
         for slot in &mut self.slots {
             if slot.occupied && now.saturating_sub(slot.entry.last_ts) > self.cfg.expiry_nanos() {
                 slot.occupied = false;
+                slot.indexed = false;
                 removed += 1;
             }
         }
+        let (slots, free_flows) = (&self.slots, &mut self.free_flows);
+        self.top.retain(|r| {
+            let keep = slots[r.slot()].occupied;
+            if !keep {
+                free_flows.push(r.flow());
+            }
+            keep
+        });
         self.live -= removed;
         self.stats.gc_reclaims += removed as u64;
         removed
@@ -472,8 +709,12 @@ impl WsafTable {
     pub fn clear(&mut self) {
         for slot in &mut self.slots {
             slot.occupied = false;
+            slot.indexed = false;
         }
         self.live = 0;
+        self.top.clear();
+        self.top_flows.clear();
+        self.free_flows.clear();
         self.stats = WsafStats::default();
         self.probe_hist.reset();
     }
@@ -673,6 +914,32 @@ mod tests {
         let by_bytes = t.top_k_by_bytes(3);
         assert_eq!(by_bytes.iter().map(|e| e.bytes as u32).collect::<Vec<_>>(), vec![100, 99, 98]);
         assert_eq!(t.top_k_by_packets(100).len(), 10, "k larger than table");
+    }
+
+    #[test]
+    fn rank_order_is_total_cmp_descending_then_slot() {
+        let metrics = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            2.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in metrics {
+            for b in metrics {
+                for (sa, sb) in [(1usize, 2usize), (2, 1), (7, 7)] {
+                    let want = b.total_cmp(&a).then(sa.cmp(&sb));
+                    let got = Rank::new(a, sa, 0).cmp(&Rank::new(b, sb, 0));
+                    assert_eq!(got, want, "({a}, slot {sa}) vs ({b}, slot {sb})");
+                }
+            }
+        }
+        let r = Rank::new(4.0, 12_345, 678);
+        assert_eq!((r.slot(), r.flow()), (12_345, 678));
     }
 
     #[test]

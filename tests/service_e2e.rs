@@ -11,6 +11,7 @@ use instameasure::core::{InstaMeasure, InstaMeasureConfig};
 use instameasure::service::server::{Server, ServiceConfig};
 use instameasure::service::ServiceClient;
 use instameasure::traffic::SyntheticTraceBuilder;
+use instameasure::wsaf::TOP_INDEX_K;
 
 fn start(workers: usize) -> Server {
     let cfg = ServiceConfig::builder()
@@ -76,6 +77,15 @@ fn live_heavy_hitters_match_offline_analyze_exactly() {
     let live_set = flow_set(live.iter().map(|f| (f.key, f.packets, f.bytes)));
     let offline_set = flow_set(offline.wsaf().iter().map(|e| (e.key, e.packets, e.bytes)));
     assert_eq!(live_set, offline_set, "live and offline flow sets diverged");
+
+    // A top-k deeper than the shard's top-K index is answered by one
+    // full scan, which the wire telemetry counts.
+    assert!(offline_all > TOP_INDEX_K, "the shard must outgrow its index");
+    let telemetry = ops.telemetry_json().unwrap();
+    assert!(
+        telemetry.contains("\"service.snapshot.full_scans\": 1"),
+        "service.snapshot.full_scans missing or off: {telemetry}"
+    );
 
     // Per-flow point queries, including the sketch residual, on the ten
     // true heaviest flows.
